@@ -27,19 +27,23 @@ import (
 // pointer equality (a == b, cond == True) only assumes the forward
 // direction, pointer-equal ⇒ structurally equal.
 
+// The table keys hold no string: a variable's name is mapped to a small id
+// once (Interner.names), so a key is plain memory and a lookup hashes it
+// without walking a name. The field widths leave no padding for the same
+// reason.
 type termKey struct {
-	kind  Kind
-	width int
+	kind  uint16 // Kind
+	width uint16
+	name  uint32 // name id, for KVar
 	val   uint64
-	name  string
 	cond  *Bool
 	a, b  *Term
 }
 
 type boolKey struct {
-	kind BKind
-	val  bool
-	name string
+	kind uint16 // BKind
+	val  uint16 // 1 for a true BConst
+	name uint32 // name id, for BVar
 	a, b *Bool
 	x, y *Term
 }
@@ -56,7 +60,9 @@ type Interner struct {
 	mu      sync.Mutex
 	termTab map[termKey]*Term
 	boolTab map[boolKey]*Bool
+	names   map[string]uint32 // variable name → key id; never cleared
 	softCap int
+	clears  int64 // table clears at the soft cap; see Generation
 	budget  *engine.Budget
 	faults  *faultpoint.Registry
 	nodes   int64
@@ -89,6 +95,7 @@ func NewInterner() *Interner {
 	return &Interner{
 		termTab: make(map[termKey]*Term),
 		boolTab: make(map[boolKey]*Bool),
+		names:   make(map[string]uint32),
 		softCap: DefaultSoftCap,
 	}
 }
@@ -165,17 +172,49 @@ func (in *Interner) Nodes() int64 {
 	return in.nodes
 }
 
-func (in *Interner) intern(t *Term) *Term {
-	k := termKey{kind: t.Kind, width: t.Width, val: t.Val, name: t.Name, cond: t.Cond, a: t.A, b: t.B}
+// Generation counts the soft-cap clears of the hash-cons tables. While it is
+// unchanged, every node the interner has handed out is still in its table,
+// so rebuilding any of them interns nothing new; a caller that keeps built
+// nodes in place of rebuilding them (cegis keeps per-counterexample
+// interpreter states) must rebuild once the generation moves, or it would
+// skip the node creations a rebuild performs.
+func (in *Interner) Generation() int64 {
 	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.clears
+}
+
+// nameID returns the key id of a variable name, assigning the next one on
+// first use. The caller holds mu.
+func (in *Interner) nameID(name string) uint32 {
+	id, ok := in.names[name]
+	if !ok {
+		id = uint32(len(in.names))
+		in.names[name] = id
+	}
+	return id
+}
+
+// intern returns the table's node equal to t, or a heap copy of t entered
+// into the table. The node is passed by value so a table hit — the common
+// case — allocates nothing; only a miss creates, counts and charges a node.
+func (in *Interner) intern(t Term) *Term {
+	k := termKey{kind: uint16(t.Kind), width: uint16(t.Width), val: t.Val, cond: t.Cond, a: t.A, b: t.B}
+	in.mu.Lock()
+	if t.Kind == KVar {
+		k.name = in.nameID(t.Name)
+	}
 	if old, ok := in.termTab[k]; ok {
 		in.mu.Unlock()
 		return old
 	}
 	if len(in.termTab) >= in.softCap {
 		in.termTab = make(map[termKey]*Term)
+		in.clears++
 	}
-	in.termTab[k] = t
+	n := new(Term)
+	*n = t
+	in.termTab[k] = n
 	in.nodes++
 	b, f := in.budget, in.faults
 	in.mu.Unlock()
@@ -183,20 +222,30 @@ func (in *Interner) intern(t *Term) *Term {
 	if f.Fire(faultpoint.BVNodeExhaust) {
 		b.Fail(errInjectedNodeExhaustion)
 	}
-	return t
+	return n
 }
 
-func (in *Interner) internBool(b *Bool) *Bool {
-	k := boolKey{kind: b.Kind, val: b.Val, name: b.Name, a: b.A, b: b.B, x: b.X, y: b.Y}
+// internBool is intern for formulas.
+func (in *Interner) internBool(b Bool) *Bool {
+	k := boolKey{kind: uint16(b.Kind), a: b.A, b: b.B, x: b.X, y: b.Y}
+	if b.Val {
+		k.val = 1
+	}
 	in.mu.Lock()
+	if b.Kind == BVar {
+		k.name = in.nameID(b.Name)
+	}
 	if old, ok := in.boolTab[k]; ok {
 		in.mu.Unlock()
 		return old
 	}
 	if len(in.boolTab) >= in.softCap {
 		in.boolTab = make(map[boolKey]*Bool)
+		in.clears++
 	}
-	in.boolTab[k] = b
+	n := new(Bool)
+	*n = b
+	in.boolTab[k] = n
 	in.nodes++
 	bud, f := in.budget, in.faults
 	in.mu.Unlock()
@@ -204,5 +253,5 @@ func (in *Interner) internBool(b *Bool) *Bool {
 	if f.Fire(faultpoint.BVNodeExhaust) {
 		bud.Fail(errInjectedNodeExhaustion)
 	}
-	return b
+	return n
 }

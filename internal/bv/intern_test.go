@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"stringloops/internal/engine"
+	"stringloops/internal/faultpoint"
 )
 
 func TestInternerPointerEquality(t *testing.T) {
@@ -69,5 +70,63 @@ func TestInternerDedupDoesNotRecharge(t *testing.T) {
 	}
 	if got := b.Nodes(); got != 1 {
 		t.Fatalf("interning the same node 50 times charged %d nodes, want 1", got)
+	}
+}
+
+// TestInternHitsAllocateNothing pins the by-value intern path: rebuilding
+// nodes the table already holds allocates nothing.
+func TestInternHitsAllocateNothing(t *testing.T) {
+	in := NewInterner()
+	x, y := in.Var("x", 8), in.Var("y", 8)
+	p, q := in.Eq(x, in.Byte('a')), in.Ult(y, x)
+	in.BAnd2(p, q)
+	in.BOr2(p, q)
+	ctors := map[string]func(){
+		"Byte":  func() { in.Byte('a') },
+		"Var":   func() { in.Var("x", 8) },
+		"Eq":    func() { in.Eq(x, in.Byte('a')) },
+		"BAnd2": func() { in.BAnd2(p, q) },
+		"BOr2":  func() { in.BOr2(p, q) },
+	}
+	for name, f := range ctors {
+		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+			t.Errorf("%s on interned operands: %v allocations per call, want 0", name, allocs)
+		}
+	}
+}
+
+// TestInternAccountsMissesOnly checks that the node count, the budget's node
+// charge and the BVNodeExhaust site all move on a table miss, by exactly one,
+// and never on a hit.
+func TestInternAccountsMissesOnly(t *testing.T) {
+	b := engine.NewBudget(nil, engine.Limits{})
+	// Rate 0.5 keeps the site armed without failing the budget on every node;
+	// the test counts consultations, not firings.
+	faults := faultpoint.New(faultpoint.Config{Seed: 7, Rates: map[faultpoint.Site]float64{faultpoint.BVNodeExhaust: 0.5}})
+	in := NewInterner().SetBudget(b).SetFaults(faults)
+	counts := func() [3]int64 {
+		return [3]int64{in.Nodes(), b.Nodes(), int64(faults.Calls(faultpoint.BVNodeExhaust))}
+	}
+	build := []func(){
+		func() { in.Byte('a') },
+		func() { in.Var("x", 8) },
+		func() { in.Eq(in.Var("x", 8), in.Byte('a')) },
+		func() { in.BoolVar("x") }, // same name as the term var, other sort
+		func() { in.BAnd2(in.BoolVar("x"), in.Eq(in.Var("x", 8), in.Byte('a'))) },
+		func() { in.BOr2(in.BoolVar("x"), in.Eq(in.Var("x", 8), in.Byte('a'))) },
+	}
+	for i, f := range build {
+		before := counts()
+		f() // exactly one new node: every operand was built by an earlier step
+		after := counts()
+		for j := range after {
+			if after[j] != before[j]+1 {
+				t.Fatalf("step %d: counts %v -> %v, want each to grow by one", i, before, after)
+			}
+		}
+		f()
+		if again := counts(); again != after {
+			t.Fatalf("step %d rebuilt: counts %v -> %v, want no change on a hit", i, after, again)
+		}
 	}
 }

@@ -62,11 +62,11 @@ func TestSimplifyComplementLiterals(t *testing.T) {
 	in := NewInterner()
 	a := in.BoolVar("a")
 	// Build via raw interning so the constructor fast paths don't pre-fold.
-	and := in.internBool(&Bool{Kind: BAnd, A: a, B: in.BNot1(a)})
+	and := in.internBool(Bool{Kind: BAnd, A: a, B: in.BNot1(a)})
 	if got := in.SimplifyBool(and); got != False {
 		t.Fatalf("a∧¬a simplified to %v, want false", got)
 	}
-	or := in.internBool(&Bool{Kind: BOr, A: in.BNot1(a), B: a})
+	or := in.internBool(Bool{Kind: BOr, A: in.BNot1(a), B: a})
 	if got := in.SimplifyBool(or); got != True {
 		t.Fatalf("¬a∨a simplified to %v, want true", got)
 	}

@@ -66,8 +66,9 @@ type Options struct {
 	// §2.2 ablation (the paper: synthesis still works, but slower, because
 	// character classes need every member spelled out).
 	DisableMetaChars bool
-	// KeepCounterexamples carries counterexamples across program sizes
-	// (default true; ablation sets DisableCexReuse).
+	// DisableCexReuse starts every program size with an empty
+	// counterexample set instead of carrying the set across sizes (the
+	// ablation benchmark sets it).
 	DisableCexReuse bool
 	// Merge enables state merging when the loop's symbolic paths are
 	// computed (symex.Engine.Merge): join-point states fold into ite values
@@ -152,6 +153,52 @@ type origPath struct {
 	off  *bv.Term // when kind == Ptr
 }
 
+// cexState is one counterexample with everything the search derives from
+// it, kept together so that resetting or extending the set cannot leave one
+// part behind.
+type cexState struct {
+	buf  []byte       // the input, NUL-terminated
+	want vocab.Result // Original(buf), run concretely once, in addCex
+	// sym is buf as a string of constant terms, built at the first argument
+	// solve that uses the counterexample. path is the skeleton last run on
+	// it and states[i] the interpreter state after path[:i], so the next
+	// skeleton resumes from the prefix it shares with path. All three
+	// belong to interner generation gen and are rebuilt when it moves.
+	sym    *strsolver.SymString
+	gen    int64
+	path   []shape
+	states []*vocab.SymState
+}
+
+// outcomes runs the symbolic program of skel on the counterexample, stepping
+// only the instructions after the longest prefix skel shares with the
+// skeleton run before it. Every node a full run would intern is either
+// interned here or still in the interner's tables from the run that built
+// the kept state, so the interned nodes are those of a full run.
+func (c *cexState) outcomes(bvin *bv.Interner, skel []shape, prog vocab.SymProgram) ([]vocab.SymOutcome, error) {
+	if gen := bvin.Generation(); c.sym == nil || c.gen != gen {
+		sym, err := strsolver.FromConcrete(bvin, c.buf)
+		if err != nil {
+			return nil, err
+		}
+		c.sym, c.gen = sym, gen
+		c.path = c.path[:0]
+		c.states = append(c.states[:0], vocab.NewSymState(sym))
+	}
+	n := 0
+	for n < len(c.path) && n < len(skel) && c.path[n] == skel[n] {
+		n++
+	}
+	c.path = append(c.path[:n], skel[n:]...)
+	c.states = c.states[:n+1]
+	for i := n; i < len(skel); i++ {
+		st := c.states[i].Clone()
+		st.Step(prog[i])
+		c.states = append(c.states, st)
+	}
+	return c.states[len(skel)].Outcomes(), nil
+}
+
 // Synthesizer holds the per-loop state of Algorithm 2.
 type Synthesizer struct {
 	opts     Options
@@ -159,7 +206,7 @@ type Synthesizer struct {
 	symStr   *strsolver.SymString
 	origSym  []origPath
 	origNull vocab.Result
-	cexs     [][]byte // counterexample buffers (NUL-terminated)
+	cexs     []cexState
 	bvin     *bv.Interner
 	cache    *qcache.Cache // nil when Options.DisableQCache
 	budget   *engine.Budget
@@ -349,9 +396,7 @@ func (s *Synthesizer) Synthesize() (Outcome, error) {
 	startE := s.budget.Elapsed()
 	elapsed := func() time.Duration { return s.budget.Elapsed() - startE }
 	for size := s.opts.MinProgSize; size <= s.opts.MaxProgSize; size++ {
-		if !s.opts.DisableCexReuse {
-			// counterexamples persist across sizes
-		} else {
+		if s.opts.DisableCexReuse {
 			s.cexs = nil
 		}
 		prog, err := s.searchSize(size)
@@ -368,7 +413,7 @@ func (s *Synthesizer) Synthesize() (Outcome, error) {
 // searchSize enumerates skeletons of exactly the given encoded size.
 func (s *Synthesizer) searchSize(size int) (vocab.Program, error) {
 	var found vocab.Program
-	err := s.enumerate(size, nil, func(skel []shape) error {
+	err := s.enumerate(size, make([]shape, 0, size), func(skel []shape) error {
 		s.stats.Skeletons++
 		if s.budget.Exceeded() {
 			return ErrTimeout
@@ -428,16 +473,13 @@ func (s *Synthesizer) enumerate(remaining int, prefix []shape, yield func([]shap
 		if !s.opts.Vocabulary.Contains(op) {
 			continue
 		}
-		lens := []int{0}
+		minLen, maxLen := 0, 0
 		if op.TakesChar() {
-			lens = []int{1}
+			minLen, maxLen = 1, 1
 		} else if op.TakesSet() {
-			lens = lens[:0]
-			for l := 1; l <= s.opts.MaxSetLen; l++ {
-				lens = append(lens, l)
-			}
+			minLen, maxLen = 1, s.opts.MaxSetLen
 		}
-		for _, argLen := range lens {
+		for argLen := minLen; argLen <= maxLen; argLen++ {
 			sh := shape{op: op, argLen: argLen}
 			if sh.size() > remaining {
 				continue
@@ -513,7 +555,7 @@ func (s *Synthesizer) trySkeleton(skel []shape) (vocab.Program, error) {
 		prog := concretize(skel, nil)
 		s.stats.CandidatesRun++
 		for _, cex := range s.cexs {
-			if vocab.Run(prog, cex) != s.runOriginal(cex) {
+			if vocab.Run(prog, cex.buf) != cex.want {
 				return nil, nil
 			}
 		}
@@ -525,7 +567,7 @@ func (s *Synthesizer) trySkeleton(skel []shape) (vocab.Program, error) {
 		if s.budget.Exceeded() {
 			return nil, ErrTimeout
 		}
-		args, ok := s.solveArgs(symProg, argVars)
+		args, ok := s.solveArgs(skel, symProg, argVars)
 		if !ok {
 			return nil, nil
 		}
@@ -575,7 +617,7 @@ func concretize(skel []shape, args []byte) vocab.Program {
 
 // solveArgs finds argument characters making the skeleton agree with the
 // original loop on every counterexample (lines 3-8 of Algorithm 2).
-func (s *Synthesizer) solveArgs(symProg vocab.SymProgram, argVars []*bv.Term) ([]byte, bool) {
+func (s *Synthesizer) solveArgs(skel []shape, symProg vocab.SymProgram, argVars []*bv.Term) ([]byte, bool) {
 	s.stats.ArgSolverCalls++
 	bvin := s.bvin
 	var constraints []*bv.Bool
@@ -595,18 +637,18 @@ func (s *Synthesizer) solveArgs(symProg vocab.SymProgram, argVars []*bv.Term) ([
 			}
 		}
 	}
-	for _, cex := range s.cexs {
-		want := s.runOriginal(cex)
-		cs, err := strsolver.FromConcrete(bvin, cex)
+	for i := range s.cexs {
+		cex := &s.cexs[i]
+		outcomes, err := cex.outcomes(bvin, skel, symProg)
 		if err != nil {
-			// Counterexamples are built NUL-terminated by addCex; a malformed
-			// one means a bug upstream, and no argument can satisfy it.
+			// Counterexamples are built NUL-terminated by verify; a
+			// malformed one means a bug upstream, and no argument can
+			// satisfy it.
 			return nil, false
 		}
-		outcomes := vocab.RunSymbolic(symProg, cs)
 		match := bv.False
 		for _, o := range outcomes {
-			if o.Res == want {
+			if o.Res == cex.want {
 				match = bvin.BOr2(match, o.Guard)
 			}
 		}
@@ -687,11 +729,11 @@ func (s *Synthesizer) verify(prog vocab.Program) (vocab.Program, error) {
 
 func (s *Synthesizer) addCex(cex []byte) {
 	for _, old := range s.cexs {
-		if string(old) == string(cex) {
+		if string(old.buf) == string(cex) {
 			return
 		}
 	}
-	s.cexs = append(s.cexs, cex)
+	s.cexs = append(s.cexs, cexState{buf: cex, want: s.runOriginal(cex)})
 	s.stats.Counterexamples++
 }
 
@@ -723,11 +765,17 @@ func VerifyEquivalence(loop *cir.Func, prog vocab.Program, maxExSize int) (bool,
 		return true, nil, nil
 	}
 	if len(s.cexs) > 0 {
-		return false, s.cexs[len(s.cexs)-1], nil
+		return false, s.cexs[len(s.cexs)-1].buf, nil
 	}
 	return false, nil, nil
 }
 
 // Counterexamples exposes the counterexample set gathered so far (for tests
 // and the evaluation harness).
-func (s *Synthesizer) Counterexamples() [][]byte { return s.cexs }
+func (s *Synthesizer) Counterexamples() [][]byte {
+	out := make([][]byte, len(s.cexs))
+	for i, c := range s.cexs {
+		out[i] = c.buf
+	}
+	return out
+}

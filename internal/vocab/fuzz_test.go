@@ -49,3 +49,23 @@ func FuzzRunAgainstCompiled(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSymStateResume checks that a symbolic run resumed from a cloned prefix
+// state matches the whole-program run on fuzzer-chosen skeletons and
+// concrete inputs (see checkResume).
+func FuzzSymStateResume(f *testing.F) {
+	f.Add([]byte("\x0b"), []byte("\x04\x0c"), []byte("\x06\x0c\x04\x0c"), "a b")
+	f.Add([]byte("\x04"), []byte("\x0c"), []byte("\x11\x0c"), " \t")
+	f.Add([]byte{}, []byte("\x01\x0c"), []byte("\x09\x08\x0c"), "")
+	f.Fuzz(func(t *testing.T, prefix, suffix1, suffix2 []byte, input string) {
+		if len(prefix) > 6 || len(suffix1) > 6 || len(suffix2) > 6 || len(input) > 4 {
+			return
+		}
+		for i := 0; i < len(input); i++ {
+			if input[i] == 0 {
+				return
+			}
+		}
+		checkResume(t, concreteStr(t, []byte(input)), prefix, [][]byte{suffix1, suffix2})
+	})
+}
