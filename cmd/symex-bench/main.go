@@ -51,6 +51,7 @@ func main() {
 				}
 				prog, _ := harness.SummaryFor(l)
 				v := kleebench.Vanilla(f, n, *timeout)
+				reportErr(l.Name, n, v)
 				s := kleebench.Str(prog, n, *timeout)
 				vTotal += v.Time
 				sTotal += s.Time
@@ -83,6 +84,7 @@ func main() {
 			}
 			prog, _ := harness.SummaryFor(l)
 			v := kleebench.Vanilla(f, *fig4Len, *timeout)
+			reportErr(l.Name, *fig4Len, v)
 			s := kleebench.Str(prog, *fig4Len, *timeout)
 			entries = append(entries, entry{l.Name, kleebench.Speedup(v, s), v.TimedOut})
 		}
@@ -100,5 +102,13 @@ func main() {
 			median := speedups[len(speedups)/2]
 			fmt.Printf("median speedup: %.1fx (paper: 79x)\n", median)
 		}
+	}
+}
+
+// reportErr prints the error that cut a vanilla run short, if any: its
+// time and test count then cover a partial path set.
+func reportErr(loop string, n int, v kleebench.Measurement) {
+	if v.Err != nil {
+		fmt.Fprintf(os.Stderr, "symex-bench: %s at length %d: vanilla run stopped early: %v\n", loop, n, v.Err)
 	}
 }

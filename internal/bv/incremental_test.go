@@ -1,6 +1,7 @@
 package bv
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -82,23 +83,23 @@ func TestConjunctsFlattensAndTree(t *testing.T) {
 	}
 }
 
-func TestVarNamesTagsSorts(t *testing.T) {
+func TestVarIDsTagsSorts(t *testing.T) {
 	in := NewInterner()
 	x := in.Var("v", 8)
 	bvar := in.BoolVar("v") // same name, different sort
 	f := in.BAnd2(in.Eq(in.Ite(bvar, x, in.Byte(0)), in.Byte(3)), bvar)
-	names := VarNames(nil, f)
-	sort.Strings(names)
+	ids := in.VarIDs(nil, f)
 	// Dedupe (DAG sharing already prevents most repeats, but not across
 	// distinct nodes).
-	uniq := names[:0]
-	for i, n := range names {
-		if i == 0 || names[i-1] != n {
-			uniq = append(uniq, n)
-		}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	var names []string
+	for _, id := range ids {
+		names = append(names, in.TaggedVarName(id))
 	}
+	sort.Strings(names)
 	want := []string{"b:v", "t:v"}
-	if len(uniq) != 2 || uniq[0] != want[0] || uniq[1] != want[1] {
-		t.Fatalf("VarNames = %v, want %v", uniq, want)
+	if !slices.Equal(names, want) {
+		t.Fatalf("VarIDs names = %v, want %v", names, want)
 	}
 }

@@ -61,11 +61,15 @@ type Interner struct {
 	termTab map[termKey]*Term
 	boolTab map[boolKey]*Bool
 	names   map[string]uint32 // variable name → key id; never cleared
-	softCap int
-	clears  int64 // table clears at the soft cap; see Generation
-	budget  *engine.Budget
-	faults  *faultpoint.Registry
-	nodes   int64
+	nameOf  []string          // key id → variable name
+	// VarIDs's visited sets, kept across calls and cleared by each.
+	varSeenB map[*Bool]bool
+	varSeenT map[*Term]bool
+	softCap  int
+	clears   int64 // table clears at the soft cap; see Generation
+	budget   *engine.Budget
+	faults   *faultpoint.Registry
+	nodes    int64
 
 	// Rewrite-before-blast simplification memo (see simplify.go). Guarded by
 	// simpMu, which is always acquired before mu (the simplifier calls the
@@ -76,6 +80,10 @@ type Interner struct {
 	simpOutBools map[*Bool]struct{}
 	simpOutTerms map[*Term]struct{}
 	simpCalls    int64
+	// The guard pruner's per-call memo tables (see vn.go), kept across
+	// calls so a prune allocates no tables; each call clears them.
+	pruneBools   map[*Bool]*Bool
+	pruneTerms   map[*Term]*Term
 	simpNodesIn  int64
 	simpNodesOut int64
 
@@ -191,6 +199,7 @@ func (in *Interner) nameID(name string) uint32 {
 	if !ok {
 		id = uint32(len(in.names))
 		in.names[name] = id
+		in.nameOf = append(in.nameOf, name)
 	}
 	return id
 }

@@ -22,29 +22,50 @@ package bv
 // Substitution is by subnode identity (hash-consing makes structural
 // containment pointer containment per interner), and the rewrite rebuilds
 // through the smart constructors so local folds fire on the pruned shape.
-// The per-call memos cannot live on the interner — the result depends on
-// the truth map — so each call walks its conjunct fresh. That walk is
-// depth-capped: the guards another conjunct can decide are minted by state
-// merging near the conjunct root (the new branch condition over merged ite
-// values), while the deep interior is the accumulated path condition that a
-// fresh walk per query would re-traverse quadratically over a run. Nodes
-// below the cap are kept unchanged, which is sound — every pruning rewrite
-// is optional.
+// The memos cannot outlive a call — the result depends on the truth map —
+// so each call clears the interner's two pruner tables and walks its
+// conjunct fresh. That walk is depth-capped: the guards another conjunct
+// can decide are minted by state merging near the conjunct root (the new
+// branch condition over merged ite values), while the deep interior is the
+// accumulated path condition that a fresh walk per query would re-traverse
+// quadratically over a run. Nodes below the cap are kept unchanged, which
+// is sound — every pruning rewrite is optional.
+//
+// A walk whose truth lookups all miss rewrites nothing and returns its
+// input. PruneProbes lists the nodes such a walk looks up, so a caller that
+// knows none of them is in its truth map can skip the call: the result
+// would be the input, and nothing would be counted.
 
 // PruneUnder rewrites f under the assumption that every key of truth has
 // its mapped boolean value. Collapsed ite branches and replaced guards are
-// counted as ite fusions and charged to the interner budget. When value
+// counted as ite fusions and charged to the interner budget; a prune is not
+// a top-level simplifier call and is not counted as one. When value
 // numbering is off (or the map is empty) f is returned unchanged.
 func (in *Interner) PruneUnder(f *Bool, truth map[*Bool]bool) *Bool {
 	if in == nil || f == nil || len(truth) == 0 || !in.VNEnabled() {
 		return f
 	}
 	in.simpMu.Lock()
-	h0, f0 := in.simpEnter()
-	p := &pruner{in: in, truth: truth, bools: map[*Bool]*Bool{}, terms: map[*Term]*Term{}}
+	f0 := in.iteFusions
+	p := in.newPruner(truth, false)
 	r := p.boolNode(f, maxPruneDepth)
-	in.simpExit(h0, f0, 0, 0)
+	df := in.iteFusions - f0
+	in.simpMu.Unlock()
+	in.budgetNow().AddIteFusions(df)
 	return r
+}
+
+// PruneProbes appends to dst every boolean node a PruneUnder walk of f
+// looks up in its truth map when no lookup hits, possibly more than once.
+// If no appended node is a key of truth, PruneUnder(f, truth) returns f and
+// counts nothing.
+func (in *Interner) PruneProbes(dst []*Bool, f *Bool) []*Bool {
+	in.simpMu.Lock()
+	defer in.simpMu.Unlock()
+	p := in.newPruner(nil, true)
+	p.probes = dst
+	p.boolNode(f, maxPruneDepth)
+	return p.probes
 }
 
 // maxPruneDepth bounds how far below the conjunct root a PruneUnder walk
@@ -58,10 +79,34 @@ type pruner struct {
 	truth map[*Bool]bool
 	bools map[*Bool]*Bool
 	terms map[*Term]*Term
+	// record makes every truth lookup append its node to probes.
+	record bool
+	probes []*Bool
+}
+
+// newPruner readies the interner's pruner memo tables for one walk. Caller
+// holds simpMu.
+func (in *Interner) newPruner(truth map[*Bool]bool, record bool) pruner {
+	if in.pruneBools == nil {
+		in.pruneBools = map[*Bool]*Bool{}
+		in.pruneTerms = map[*Term]*Term{}
+	}
+	clear(in.pruneBools)
+	clear(in.pruneTerms)
+	return pruner{in: in, truth: truth, bools: in.pruneBools, terms: in.pruneTerms, record: record}
+}
+
+// lookup consults the truth map (a nil map misses every lookup).
+func (p *pruner) lookup(b *Bool) (v, ok bool) {
+	if p.record {
+		p.probes = append(p.probes, b)
+	}
+	v, ok = p.truth[b]
+	return v, ok
 }
 
 func (p *pruner) boolNode(b *Bool, depth int) *Bool {
-	if v, ok := p.truth[b]; ok {
+	if v, ok := p.lookup(b); ok {
 		p.in.iteFusions++
 		if v {
 			return True
@@ -141,7 +186,7 @@ func (p *pruner) termNode(t *Term, depth int) *Term {
 		// A guard the enclosing condition decides collapses the ite to the
 		// implied arm (the pruned guard may also be a strict subformula of
 		// the guard, which the boolNode walk below handles).
-		if v, ok := p.truth[t.Cond]; ok {
+		if v, ok := p.lookup(t.Cond); ok {
 			p.in.iteFusions++
 			if v {
 				r = p.termNode(t.A, d)

@@ -69,6 +69,11 @@ type Measurement struct {
 	// Cache is the query-cache snapshot (zero when the cache was off).
 	Cache    qcache.Stats
 	TimedOut bool
+	// Err is the error that stopped symbolic execution early, other than
+	// running out of time (TimedOut): a path limit, an unsupported
+	// operation, or arguments the loop does not take. Paths and Tests then
+	// cover only the paths found before it.
+	Err error
 }
 
 // Vanilla symbolically executes the loop on a symbolic string of length n
@@ -103,6 +108,9 @@ func VanillaWith(loop *cir.Func, n int, timeout time.Duration, cfg Config) Measu
 		Paths:         len(paths),
 		SolverQueries: eng.Stats.SolverQueries,
 		TimedOut:      errors.Is(err, symex.ErrTimeout),
+	}
+	if err != nil && !m.TimedOut {
+		m.Err = err
 	}
 	// KLEE generates a concrete test input per terminated path.
 	for _, p := range paths {
@@ -168,8 +176,7 @@ func StrWith(summary vocab.Program, n int, timeout time.Duration, cfg Config) Me
 // checkSat routes one query through the cache when enabled.
 func checkSat(cache *qcache.Cache, budget *engine.Budget, f *bv.Bool) sat.Status {
 	if cache != nil {
-		st, _ := cache.CheckSat(budget, 0, f)
-		return st
+		return cache.Status(budget, 0, f)
 	}
 	st, _ := bv.CheckSat(budget, 0, f)
 	return st

@@ -1,11 +1,17 @@
 package kleebench
 
 import (
+	"context"
 	"testing"
 	"time"
 
+	"stringloops/internal/bv"
 	"stringloops/internal/cc"
 	"stringloops/internal/cir"
+	"stringloops/internal/engine"
+	"stringloops/internal/loopdb"
+	"stringloops/internal/qcache"
+	"stringloops/internal/symex"
 	"stringloops/internal/vocab"
 )
 
@@ -93,5 +99,96 @@ func TestVanillaTimeout(t *testing.T) {
 	m := Vanilla(f, 16, 10*time.Millisecond)
 	if !m.TimedOut {
 		t.Skip("machine too fast for a 10ms timeout at n=16")
+	}
+}
+
+// TestVanillaReportsRunErrors: a run symbolic execution cannot complete —
+// here, a loop taking two arguments given one — must say so instead of
+// passing for a complete run over no paths.
+func TestVanillaReportsRunErrors(t *testing.T) {
+	f := lower(t, `
+char* loopFunction(char* s, int n) {
+  while (*s && n > 0) { s++; n--; }
+  return s;
+}`)
+	m := Vanilla(f, 4, 30*time.Second)
+	if m.Err == nil {
+		t.Fatalf("two-parameter loop gave no error: %+v", m)
+	}
+	if m.Tests != 0 || m.TimedOut {
+		t.Fatalf("failed run reported tests=%d timedOut=%v, want 0 and false", m.Tests, m.TimedOut)
+	}
+}
+
+// TestSimplifyAccountingAgrees: after a merged, cache-backed run (which
+// prunes guards), the budget's simplifier-call count matches the
+// interner's: a prune charges its fusions, not a top-level call.
+func TestSimplifyAccountingAgrees(t *testing.T) {
+	var f *cir.Func
+	for _, l := range loopdb.Corpus() {
+		if l.Name == "git/skip_seps1" {
+			var err error
+			if f, err = l.Lower(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if f == nil {
+		t.Fatal("corpus loop git/skip_seps1 not found")
+	}
+	budget := engine.NewBudget(context.Background(), engine.Limits{})
+	in := bv.NewInterner().SetBudget(budget)
+	eng := &symex.Engine{
+		Objects:          [][]*bv.Term{symex.SymbolicString(in, "s", 12)},
+		CheckFeasibility: true,
+		Merge:            true,
+		In:               in,
+		Budget:           budget,
+		Cache:            qcache.New(in),
+	}
+	if _, err := eng.Run(f, []symex.Value{symex.PtrValue(0, in.Int32(0))}, bv.True); err != nil {
+		t.Fatal(err)
+	}
+	st := in.SimplifyStats()
+	if st.Fusions == 0 {
+		t.Fatal("merged run counted no ite fusions")
+	}
+	if budget.SimplifyCalls() != st.Calls || budget.IteFusions() != st.Fusions {
+		t.Fatalf("budget calls=%d fusions=%d, interner %+v",
+			budget.SimplifyCalls(), budget.IteFusions(), st)
+	}
+}
+
+// BenchmarkVanillaFeasibility runs vanilla.KLEE, enumerated at length 6 and
+// merged at length 16, over a few summarised corpus loops: the feasibility
+// query stream of the symex workload, for profiling without the end-to-end
+// benchmark.
+func BenchmarkVanillaFeasibility(b *testing.B) {
+	var loops []*cir.Func
+	for _, l := range loopdb.Corpus() {
+		if l.WantProgram == "" {
+			continue
+		}
+		if len(loops) == 8 {
+			break
+		}
+		f, err := l.Lower()
+		if err != nil {
+			b.Fatal(err)
+		}
+		loops = append(loops, f)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, f := range loops {
+			for _, m := range []Measurement{
+				VanillaWith(f, 6, time.Minute, Config{QCache: true}),
+				VanillaWith(f, 16, time.Minute, Config{QCache: true, Merge: true}),
+			} {
+				if m.TimedOut || m.Err != nil {
+					b.Fatalf("run stopped early: %+v", m)
+				}
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package qcache
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"sort"
 	"strconv"
@@ -14,9 +15,9 @@ import (
 // This file is the canonical, interner-independent serialization of sliced
 // conjunct sets — the fix for the ordinal-keying bug and the foundation of
 // the persistent cache tier. The old exact-map key was a sorted set of
-// per-cache conjunct ordinals (idKey over c.ids): meaningless outside the
-// cache that assigned them, so two pipelines building the same structural
-// query could never share an entry. Canonical keys are content addresses:
+// per-cache conjunct ordinals: meaningless outside the cache that assigned
+// them, so two pipelines building the same structural query could never
+// share an entry. Canonical keys are content addresses:
 //
 //   - Each conjunct serializes to a DAG-aware canonical string. Shared
 //     subterms are numbered on first visit and referenced by number after,
@@ -43,37 +44,43 @@ type groupKey struct {
 	vars []string
 }
 
-// canonWriter serializes bv DAGs. With rename non-nil, variable names are
+// canonWriter serializes bv DAGs. With renaming on, variable names are
 // replaced by "@<canonical index>" tokens assigned at first occurrence.
 type canonWriter struct {
-	sb     strings.Builder
-	bn     map[*bv.Bool]int
-	tn     map[*bv.Term]int
-	next   int
-	rename map[string]int // tagged name -> canonical index; nil keeps names
-	order  []string       // tagged names in canonical index order
+	buf      []byte
+	bn       map[*bv.Bool]int
+	tn       map[*bv.Term]int
+	next     int
+	renaming bool
+	rename   map[string]int // tagged name -> canonical index
+	order    []string       // tagged names in canonical index order
 }
 
-func newCanonWriter(rename bool) *canonWriter {
-	w := &canonWriter{bn: map[*bv.Bool]int{}, tn: map[*bv.Term]int{}}
-	if rename {
-		w.rename = map[string]int{}
+// canonWriter resets and returns the cache's reusable writer; its buffer
+// and memo tables keep their storage across serializations. Caller holds
+// c.mu.
+func (c *Cache) canonWriter(rename bool) *canonWriter {
+	w := &c.scratch.canon
+	if w.bn == nil {
+		w.bn, w.tn, w.rename = map[*bv.Bool]int{}, map[*bv.Term]int{}, map[string]int{}
 	}
+	clear(w.bn)
+	clear(w.tn)
+	clear(w.rename)
+	w.buf, w.next, w.renaming, w.order = w.buf[:0], 0, rename, nil
 	return w
 }
 
 func (w *canonWriter) ref(n int) {
-	w.sb.WriteByte('#')
-	w.sb.WriteString(strconv.Itoa(n))
+	w.buf = append(w.buf, '#')
+	w.buf = strconv.AppendInt(w.buf, int64(n), 10)
 }
 
 func (w *canonWriter) name(tag byte, name string) {
-	if w.rename == nil {
-		w.sb.WriteByte('[')
-		w.sb.WriteByte(tag)
-		w.sb.WriteByte(':')
-		w.sb.WriteString(name)
-		w.sb.WriteByte(']')
+	if !w.renaming {
+		w.buf = append(w.buf, '[', tag, ':')
+		w.buf = append(w.buf, name...)
+		w.buf = append(w.buf, ']')
 		return
 	}
 	tagged := string(tag) + ":" + name
@@ -83,8 +90,8 @@ func (w *canonWriter) name(tag byte, name string) {
 		w.rename[tagged] = idx
 		w.order = append(w.order, tagged)
 	}
-	w.sb.WriteByte('@')
-	w.sb.WriteString(strconv.Itoa(idx))
+	w.buf = append(w.buf, '@')
+	w.buf = strconv.AppendInt(w.buf, int64(idx), 10)
 }
 
 func (w *canonWriter) boolExpr(f *bv.Bool) {
@@ -94,14 +101,14 @@ func (w *canonWriter) boolExpr(f *bv.Bool) {
 	}
 	w.bn[f] = w.next
 	w.next++
-	w.sb.WriteString("(b")
-	w.sb.WriteString(strconv.Itoa(int(f.Kind)))
+	w.buf = append(w.buf, "(b"...)
+	w.buf = strconv.AppendInt(w.buf, int64(f.Kind), 10)
 	switch f.Kind {
 	case bv.BConst:
 		if f.Val {
-			w.sb.WriteByte('1')
+			w.buf = append(w.buf, '1')
 		} else {
-			w.sb.WriteByte('0')
+			w.buf = append(w.buf, '0')
 		}
 	case bv.BVar:
 		w.name('b', f.Name)
@@ -114,7 +121,7 @@ func (w *canonWriter) boolExpr(f *bv.Bool) {
 		w.termExpr(f.X)
 		w.termExpr(f.Y)
 	}
-	w.sb.WriteByte(')')
+	w.buf = append(w.buf, ')')
 }
 
 func (w *canonWriter) termExpr(t *bv.Term) {
@@ -124,14 +131,14 @@ func (w *canonWriter) termExpr(t *bv.Term) {
 	}
 	w.tn[t] = w.next
 	w.next++
-	w.sb.WriteString("(t")
-	w.sb.WriteString(strconv.Itoa(int(t.Kind)))
-	w.sb.WriteByte(':')
-	w.sb.WriteString(strconv.Itoa(t.Width))
+	w.buf = append(w.buf, "(t"...)
+	w.buf = strconv.AppendInt(w.buf, int64(t.Kind), 10)
+	w.buf = append(w.buf, ':')
+	w.buf = strconv.AppendInt(w.buf, int64(t.Width), 10)
 	switch t.Kind {
 	case bv.KConst, bv.KShlC, bv.KLshrC, bv.KAshrC:
-		w.sb.WriteByte(':')
-		w.sb.WriteString(strconv.FormatUint(t.Val, 10))
+		w.buf = append(w.buf, ':')
+		w.buf = strconv.AppendUint(w.buf, t.Val, 10)
 	}
 	switch t.Kind {
 	case bv.KConst:
@@ -149,35 +156,35 @@ func (w *canonWriter) termExpr(t *bv.Term) {
 			w.termExpr(t.B)
 		}
 	}
-	w.sb.WriteByte(')')
+	w.buf = append(w.buf, ')')
 }
 
-// conjKey memoizes the per-conjunct canonical string (original names kept).
-// Caller holds c.mu.
-func (c *Cache) conjKey(cj *bv.Bool) string {
-	if s, ok := c.conjCanon[cj]; ok {
-		return s
-	}
-	w := newCanonWriter(false)
+// canonOf serializes one conjunct canonically, original names kept; info
+// memoizes it. Caller holds c.mu.
+func (c *Cache) canonOf(cj *bv.Bool) string {
+	w := c.canonWriter(false)
 	w.boolExpr(cj)
-	s := w.sb.String()
-	c.conjCanon[cj] = s
-	return s
+	return string(w.buf)
 }
 
 // groupKeyOf builds (and memoizes, keyed by the group's sorted ID set) the
 // canonical group key: conjuncts sorted by per-conjunct canonical string,
-// deduplicated, serialized with alpha-renamed variables, hashed. Caller
-// holds c.mu.
+// deduplicated, serialized with alpha-renamed variables, hashed. The memo is
+// probed through a reused buffer holding the IDs as uvarints, so a memo hit
+// allocates nothing. Caller holds c.mu.
 func (c *Cache) groupKeyOf(g group) groupKey {
-	memoKey := idKey(g.ids)
-	if gk, ok := c.groupKeys[memoKey]; ok {
+	buf := c.scratch.key[:0]
+	for _, id := range g.ids {
+		buf = binary.AppendUvarint(buf, uint64(id))
+	}
+	c.scratch.key = buf
+	if gk, ok := c.groupKeys[string(buf)]; ok {
 		return gk
 	}
 
 	keys := make([]string, len(g.conj))
 	for i, cj := range g.conj {
-		keys[i] = c.conjKey(cj)
+		keys[i] = c.info(cj).canon
 	}
 	order := make([]int, len(g.conj))
 	for i := range order {
@@ -185,7 +192,7 @@ func (c *Cache) groupKeyOf(g group) groupKey {
 	}
 	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
 
-	w := newCanonWriter(true)
+	w := c.canonWriter(true)
 	prev := ""
 	for n, i := range order {
 		if n > 0 && keys[i] == prev {
@@ -193,15 +200,15 @@ func (c *Cache) groupKeyOf(g group) groupKey {
 		}
 		prev = keys[i]
 		w.boolExpr(g.conj[i])
-		w.sb.WriteByte('\n')
+		w.buf = append(w.buf, '\n')
 	}
-	sum := sha256.Sum256([]byte(w.sb.String()))
+	sum := sha256.Sum256(w.buf)
 	gk := groupKey{key: hex.EncodeToString(sum[:]), vars: w.order}
 
 	if len(c.groupKeys) >= maxExact {
 		c.groupKeys = map[string]groupKey{}
 	}
-	c.groupKeys[memoKey] = gk
+	c.groupKeys[string(buf)] = gk
 	return gk
 }
 

@@ -138,8 +138,8 @@ func TestConjunctIDsAreContentBased(t *testing.T) {
 		t.Fatal("core query must be unsat")
 	}
 	c.mu.Lock()
-	idLo, idHi := c.id(lo), c.id(hi)
-	idLo2 := c.canonIDs[c.conjKey(lo)]
+	idLo, idHi := c.info(lo).id, c.info(hi).id
+	idLo2 := c.canonIDs[c.info(lo).canon]
 	c.mu.Unlock()
 	if idLo != idLo2 {
 		t.Fatal("pointer and canonical paths must agree on the ID")

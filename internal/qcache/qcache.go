@@ -25,8 +25,7 @@
 package qcache
 
 import (
-	"sort"
-	"strconv"
+	"slices"
 	"sync"
 	"time"
 
@@ -124,21 +123,19 @@ type Cache struct {
 	in *bv.Interner
 
 	mu sync.Mutex
-	// ids interns each distinct conjunct to a small integer. The pointer map
-	// is the fast path; canonIDs keys the same IDs by canonical serialization,
-	// so a conjunct's ID is a function of its structure, not of interning
-	// order. Sorted ID sets normalize groups for the subset-unsat rule.
-	ids      map[*bv.Bool]int
+	// conjs memoizes what the cache derives from each distinct conjunct
+	// (see conjInfo). canonIDs keys the conjunct IDs by canonical
+	// serialization, so a conjunct's ID is a function of its structure, not
+	// of interning order. Sorted ID sets normalize groups for the
+	// subset-unsat rule.
+	conjs    map[*bv.Bool]conjInfo
 	canonIDs map[string]int
 	nextID   int
-	// conjCanon memoizes each conjunct's canonical serialization (original
-	// variable names kept — see canon.go).
-	conjCanon map[*bv.Bool]string
 	// groupKeys memoizes the canonical group key per sorted ID set.
 	groupKeys map[string]groupKey
-	// conjVars memoizes the deduped, sorted, sort-tagged variable names of
-	// each conjunct.
-	conjVars map[*bv.Bool][]string
+	// probes memoizes, per conjunct, the boolean nodes a guard-pruning walk
+	// of it looks up (bv.Interner.PruneProbes), deduped.
+	probes map[*bv.Bool][]*bv.Bool
 	// exact maps canonical group keys to verdicts. The canonical key is
 	// interner-independent, so with a disk store attached the map doubles as
 	// the write-through front of the persistent tier.
@@ -154,6 +151,10 @@ type Cache struct {
 	// and probing a model against query N+1 pays only for the DAG nodes
 	// query N did not already visit.
 	models []cachedModel
+
+	// scratch is the per-query working storage of normalisation and
+	// slicing, reused across queries (see normalise.go and slice.go).
+	scratch scratch
 
 	solver *bv.Solver
 	faults *faultpoint.Registry
@@ -176,11 +177,10 @@ type Cache struct {
 func New(in *bv.Interner) *Cache {
 	return &Cache{
 		in:        in,
-		ids:       map[*bv.Bool]int{},
+		conjs:     map[*bv.Bool]conjInfo{},
 		canonIDs:  map[string]int{},
-		conjCanon: map[*bv.Bool]string{},
 		groupKeys: map[string]groupKey{},
-		conjVars:  map[*bv.Bool][]string{},
+		probes:    map[*bv.Bool][]*bv.Bool{},
 		exact:     map[string]exactEntry{},
 		solver:    bv.NewSolver(),
 	}
@@ -245,6 +245,20 @@ func (c *Cache) bindMetrics(b *engine.Budget) {
 // through slicing, the reuse cache and the incremental solver. Unknown
 // results are never cached.
 func (c *Cache) CheckSat(b *engine.Budget, maxConflicts int64, formulas ...*bv.Bool) (sat.Status, *bv.Assignment) {
+	return c.check(b, maxConflicts, true, formulas)
+}
+
+// Status is CheckSat for callers that need only the verdict, such as
+// feasibility checks: it makes the same cache decisions and leaves the
+// cache in the same state, but builds no model for the caller.
+func (c *Cache) Status(b *engine.Budget, maxConflicts int64, formulas ...*bv.Bool) sat.Status {
+	st, _ := c.check(b, maxConflicts, false, formulas)
+	return st
+}
+
+// check is the body of CheckSat and Status; wantModel says whether the
+// caller takes the model.
+func (c *Cache) check(b *engine.Budget, maxConflicts int64, wantModel bool, formulas []*bv.Bool) (sat.Status, *bv.Assignment) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.bindMetrics(b)
@@ -254,74 +268,35 @@ func (c *Cache) CheckSat(b *engine.Budget, maxConflicts int64, formulas ...*bv.B
 		return sat.Unknown, nil
 	}
 
-	// Normalize: simplify each formula through the value-numbering layer
-	// (memoized on the interner, so the shared prefix of an incremental
-	// query stream pays once), flatten BAnd trees, drop True, dedupe by
-	// pointer identity. Simplification is equivalence-preserving over the
-	// whole conjunction, so the cache keys and models below — which are
-	// built from the simplified conjuncts — answer the original query: a
-	// variable simplified away is a don't-care, and the evaluator's
-	// zero-fill convention extends any returned model to it.
-	vn := c.in.VNEnabled()
-	var conj []*bv.Bool
-	for _, f := range formulas {
-		if vn {
-			f = c.in.SimplifyBool(f)
-		}
-		conj = bv.Conjuncts(conj, f)
-	}
-	conj, unsat := dedupe(conj)
+	conj, unsat := c.normalise(formulas)
 	if unsat {
 		return sat.Unsat, nil
 	}
-	if vn && len(conj) > 1 && len(conj) <= maxPruneConjuncts {
-		// Guard-implication pruning: rewrite each conjunct under the
-		// assumption that the current versions of the others hold, so ite
-		// guards decided by the enclosing path condition collapse. The
-		// passes are sequential — each is equivalence-preserving for the
-		// whole conjunction, so the composition is too. Pruning can mint
-		// constants and fresh conjunctions, so re-flatten and re-dedupe.
-		for i := range conj {
-			truth := make(map[*bv.Bool]bool, 2*(len(conj)-1))
-			for j, cj := range conj {
-				if j == i {
-					continue
-				}
-				truth[cj] = true
-				if cj.Kind == bv.BNot {
-					truth[cj.A] = false
-				}
-			}
-			conj[i] = c.in.PruneUnder(conj[i], truth)
-		}
-		flat := make([]*bv.Bool, 0, len(conj))
-		for _, cj := range conj {
-			flat = bv.Conjuncts(flat, cj)
-		}
-		conj, unsat = dedupe(flat)
-		if unsat {
-			return sat.Unsat, nil
-		}
+	var merged *bv.Assignment
+	if wantModel {
+		merged = &bv.Assignment{Terms: map[string]uint64{}, Bools: map[string]bool{}}
 	}
 	if len(conj) == 0 {
-		return sat.Sat, &bv.Assignment{Terms: map[string]uint64{}, Bools: map[string]bool{}}
+		return sat.Sat, merged
 	}
 
 	groups := c.slice(conj)
 	c.stats.Groups += int64(len(groups))
 	c.mGroups.Add(int64(len(groups)))
-	merged := &bv.Assignment{Terms: map[string]uint64{}, Bools: map[string]bool{}}
 	for _, g := range groups {
 		if len(g.conj) > c.stats.MaxGroup {
 			c.stats.MaxGroup = len(g.conj)
 			c.gMaxGroup.SetMax(int64(len(g.conj)))
 		}
-		st, model := c.checkGroup(b, maxConflicts, g)
+		st, model := c.checkGroup(b, maxConflicts, g, wantModel)
 		switch st {
 		case sat.Unsat:
 			return sat.Unsat, nil
 		case sat.Unknown:
 			return sat.Unknown, nil
+		}
+		if merged == nil {
+			continue
 		}
 		// Groups are variable-disjoint by construction, so models merge
 		// without collisions.
@@ -333,24 +308,6 @@ func (c *Cache) CheckSat(b *engine.Budget, maxConflicts int64, formulas ...*bv.B
 		}
 	}
 	return sat.Sat, merged
-}
-
-// dedupe drops True and pointer-duplicate conjuncts in place, reporting
-// unsat=true when a False conjunct makes the whole query trivially unsat.
-func dedupe(conj []*bv.Bool) (out []*bv.Bool, unsat bool) {
-	seen := make(map[*bv.Bool]bool, len(conj))
-	kept := conj[:0]
-	for _, cj := range conj {
-		if cj == bv.True || seen[cj] {
-			continue
-		}
-		if cj == bv.False {
-			return nil, true
-		}
-		seen[cj] = true
-		kept = append(kept, cj)
-	}
-	return kept, false
 }
 
 // IsValid reports whether f holds under all assignments, by refuting its
@@ -368,8 +325,10 @@ func (c *Cache) IsValid(b *engine.Budget, maxConflicts int64, f *bv.Bool) (valid
 }
 
 // checkGroup decides one independent slice, consulting the reuse rules
-// before the solver. Caller holds c.mu.
-func (c *Cache) checkGroup(b *engine.Budget, maxConflicts int64, g group) (sat.Status, *bv.Assignment) {
+// before the solver. An exact hit builds a model only when wantModel is
+// set; every other rule needs the model for the cache itself. Caller holds
+// c.mu.
+func (c *Cache) checkGroup(b *engine.Budget, maxConflicts int64, g group, wantModel bool) (sat.Status, *bv.Assignment) {
 	gk := c.groupKeyOf(g)
 
 	if c.faults.Fire(faultpoint.QCacheMiss) {
@@ -380,7 +339,7 @@ func (c *Cache) checkGroup(b *engine.Budget, maxConflicts int64, g group) (sat.S
 	}
 
 	if e, ok := c.exact[gk.key]; ok {
-		return c.exactHit(b, gk, e)
+		return c.exactHit(b, gk, e, wantModel)
 	}
 
 	// Persistent tier: a verdict stored by another pipeline — or another
@@ -391,7 +350,7 @@ func (c *Cache) checkGroup(b *engine.Budget, maxConflicts int64, g group) (sat.S
 			if st, vals, ok := decodeEntry(raw, len(gk.vars)); ok {
 				e := exactEntry{status: st, vals: vals}
 				c.storeExact(gk.key, e)
-				return c.exactHit(b, gk, e)
+				return c.exactHit(b, gk, e, wantModel)
 			}
 		}
 	}
@@ -419,7 +378,7 @@ func (c *Cache) checkGroup(b *engine.Budget, maxConflicts int64, g group) (sat.S
 		if ok {
 			c.stats.ModelHits++
 			b.AddCacheHits(1)
-			restricted := restrictModel(cm.asn, g.vars)
+			restricted := restrictModel(cm.asn, c.groupVars(g))
 			c.remember(b, gk, sat.Sat, restricted)
 			return sat.Sat, restricted
 		}
@@ -446,12 +405,16 @@ func (c *Cache) checkGroup(b *engine.Budget, maxConflicts int64, g group) (sat.S
 // values into the group's own variable names. The first hit of a Sat entry
 // also releases the model into the model-reuse list: under ordinal keys this
 // group would have missed and its solve would have seeded the list, so the
-// release keeps the reuse rule's coverage intact. Caller holds c.mu.
-func (c *Cache) exactHit(b *engine.Budget, gk groupKey, e exactEntry) (sat.Status, *bv.Assignment) {
+// release keeps the reuse rule's coverage intact, and happens whether or not
+// the caller wants the model. Caller holds c.mu.
+func (c *Cache) exactHit(b *engine.Budget, gk groupKey, e exactEntry, wantModel bool) (sat.Status, *bv.Assignment) {
 	c.stats.ExactHits++
 	b.AddCacheHits(1)
 	if e.status != sat.Sat {
 		return e.status, nil
+	}
+	if e.spread && !wantModel {
+		return sat.Sat, nil
 	}
 	m := gk.modelFor(e.vals)
 	if !e.spread {
@@ -519,7 +482,7 @@ func (c *Cache) solveGroup(b *engine.Budget, maxConflicts int64, gk groupKey, g 
 		// The solver's model covers every variable ever blasted on it, so
 		// restrict to this group's variables before caching or merging —
 		// stale assignments to other queries' variables must not leak.
-		restricted := restrictModel(c.solver.ModelAssignment(), g.vars)
+		restricted := restrictModel(c.solver.ModelAssignment(), c.groupVars(g))
 		c.remember(b, gk, sat.Sat, restricted)
 		c.addModel(restricted)
 		return sat.Sat, restricted
@@ -528,7 +491,8 @@ func (c *Cache) solveGroup(b *engine.Budget, maxConflicts int64, gk groupKey, g 
 		if len(c.unsatCores) >= maxUnsatCores {
 			c.unsatCores = c.unsatCores[1:]
 		}
-		c.unsatCores = append(c.unsatCores, g.ids)
+		// g.ids lives in the slicer's scratch; the core outlives the query.
+		c.unsatCores = append(c.unsatCores, slices.Clone(g.ids))
 		return sat.Unsat, nil
 	default:
 		// Unknown (budget/conflict cap): not a verdict, never cached.
@@ -575,18 +539,6 @@ func restrictModel(m *bv.Assignment, vars []string) *bv.Assignment {
 	return out
 }
 
-// idKey renders a sorted ID set as a map key.
-func idKey(ids []int) string {
-	buf := make([]byte, 0, len(ids)*4)
-	for i, id := range ids {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = strconv.AppendInt(buf, int64(id), 10)
-	}
-	return string(buf)
-}
-
 // subsetOf reports whether sorted ID set a is contained in sorted ID set b.
 func subsetOf(a, b []int) bool {
 	if len(a) > len(b) {
@@ -605,40 +557,37 @@ func subsetOf(a, b []int) bool {
 	return true
 }
 
-// id interns a conjunct to its small-integer ID by canonical content: two
-// conjuncts with the same structure get the same ID regardless of how (or in
-// what order) they were interned. Within one interner hash-consing makes
-// structural and pointer identity coincide, so the pointer map is a pure
-// fast path over the canonical map. Caller holds c.mu.
-func (c *Cache) id(cj *bv.Bool) int {
-	if id, ok := c.ids[cj]; ok {
-		return id
+// conjInfo is what the cache derives from a conjunct once: its canonical
+// serialization (original variable names kept — see canon.go), its
+// content-based ID, and its deduped sorted variable ids
+// (bv.Interner.VarIDs).
+type conjInfo struct {
+	canon string
+	id    int
+	vars  []uint32
+}
+
+// info returns the memoized conjInfo of a conjunct. The ID is interned by
+// canonical content: two conjuncts with the same structure get the same ID
+// regardless of how (or in what order) they were interned. Within one
+// interner hash-consing makes structural and pointer identity coincide, so
+// the pointer map is a pure fast path over the canonical map. Caller holds
+// c.mu.
+func (c *Cache) info(cj *bv.Bool) conjInfo {
+	if ci, ok := c.conjs[cj]; ok {
+		return ci
 	}
-	key := c.conjKey(cj)
-	id, ok := c.canonIDs[key]
+	ci := conjInfo{canon: c.canonOf(cj)}
+	id, ok := c.canonIDs[ci.canon]
 	if !ok {
 		id = c.nextID
 		c.nextID++
-		c.canonIDs[key] = id
+		c.canonIDs[ci.canon] = id
 	}
-	c.ids[cj] = id
-	return id
-}
-
-// varsOf memoizes the deduped sorted tagged variable names of a conjunct.
-// Caller holds c.mu.
-func (c *Cache) varsOf(cj *bv.Bool) []string {
-	if vs, ok := c.conjVars[cj]; ok {
-		return vs
-	}
-	names := bv.VarNames(nil, cj)
-	sort.Strings(names)
-	uniq := names[:0]
-	for i, n := range names {
-		if i == 0 || names[i-1] != n {
-			uniq = append(uniq, n)
-		}
-	}
-	c.conjVars[cj] = uniq
-	return uniq
+	ci.id = id
+	ci.vars = c.in.VarIDs(nil, cj)
+	slices.Sort(ci.vars)
+	ci.vars = slices.Clip(slices.Compact(ci.vars))
+	c.conjs[cj] = ci
+	return ci
 }

@@ -535,7 +535,7 @@ func (e *Engine) feasible(cond *bv.Bool) bool {
 	start := time.Now()
 	var st sat.Status
 	if e.Cache != nil {
-		st, _ = e.Cache.CheckSat(e.Budget, e.SolverBudget, cond)
+		st = e.Cache.Status(e.Budget, e.SolverBudget, cond)
 	} else {
 		st, _ = bv.CheckSat(e.Budget, e.SolverBudget, cond)
 	}
