@@ -676,7 +676,7 @@ func hotPathBudget(iters, batch int, budget *engine.Budget) int64 {
 			local++
 		}
 		acc += local
-		budget.AddPropagations(local)
+		budget.Add(engine.Propagations, local)
 	}
 	sink = acc + budget.Propagations()
 	return int64(time.Since(start))

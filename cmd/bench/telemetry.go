@@ -266,7 +266,7 @@ func telemetryLane(short, check bool, out string) {
 }
 
 // hotPathSpendCollect is hotPathBudget plus one full spend collection per
-// segment — every budget counter read into a totals struct and folded, the
+// segment — every budget counter read into a Spend record and folded, the
 // exact work the server does once per request to build provenance and
 // reconcile it. The gate says this stays within the BENCH_5 bar even at a
 // per-segment (not per-request) cadence.
@@ -280,11 +280,10 @@ func hotPathSpendCollect(iters, batch int, budget *engine.Budget) int64 {
 			local++
 		}
 		acc += local
-		budget.AddPropagations(local)
-		fold += budget.Conflicts() + budget.Propagations() + budget.Forks() + budget.Nodes() +
-			budget.CacheHits() + budget.CacheMisses() + budget.DiskHits() + budget.DiskMisses() +
-			budget.DiskEvictions() + budget.VNHits() + budget.IteFusions() + budget.BlastHits() +
-			budget.SimplifyCalls() + budget.Merges() + budget.MergeItes()
+		budget.Add(engine.Propagations, local)
+		for _, v := range budget.Spend() {
+			fold += v
+		}
 	}
 	sink = acc + fold
 	return int64(time.Since(start))

@@ -197,64 +197,16 @@ func runCorpus(sample, jobs int, timeout time.Duration, maxSize int, merge, vn b
 		return 1
 	}
 	if sess.Report != nil {
-		if err := reconcile(sess, budgets); err != nil {
+		// The report's counter totals must equal the summed per-loop budget
+		// spend, for every row of the engine counter table.
+		_, totals := sess.Report.Totals()
+		if err := engine.SumSpend(budgets).Check(totals); err != nil {
 			fmt.Fprintf(os.Stderr, "loopsum: reconcile: %v\n", err)
 			return 1
 		}
 		fmt.Println("reconcile: report totals match budget spend")
 	}
 	return 0
-}
-
-// reconcile checks that the report's counter totals equal the summed
-// per-loop budget spend, counter by counter.
-func reconcile(sess *obs.Session, budgets []*engine.Budget) error {
-	var conflicts, propagations, forks, nodes, hits, misses int64
-	var dhits, dmisses, devics int64
-	var vnhits, fusions, bhits, scalls, snin, snout int64
-	for _, b := range budgets {
-		conflicts += b.Conflicts()
-		propagations += b.Propagations()
-		forks += b.Forks()
-		nodes += b.Nodes()
-		hits += b.CacheHits()
-		misses += b.CacheMisses()
-		dhits += b.DiskHits()
-		dmisses += b.DiskMisses()
-		devics += b.DiskEvictions()
-		vnhits += b.VNHits()
-		fusions += b.IteFusions()
-		bhits += b.BlastHits()
-		scalls += b.SimplifyCalls()
-		snin += b.SimplifyNodesIn()
-		snout += b.SimplifyNodesOut()
-	}
-	_, totals := sess.Report.Totals()
-	for _, c := range []struct {
-		name string
-		want int64
-	}{
-		{obs.MSatConflicts, conflicts},
-		{obs.MSatPropagations, propagations},
-		{obs.MSymexForks, forks},
-		{obs.MBVNodes, nodes},
-		{obs.MQCacheHits, hits},
-		{obs.MQCacheMisses, misses},
-		{obs.MDiskHits, dhits},
-		{obs.MDiskMisses, dmisses},
-		{obs.MDiskEvictions, devics},
-		{obs.MBVVNHits, vnhits},
-		{obs.MBVIteFusions, fusions},
-		{obs.MBVBlastHits, bhits},
-		{obs.MBVSimplifyCalls, scalls},
-		{obs.MBVSimplifyNodesIn, snin},
-		{obs.MBVSimplifyNodesOut, snout},
-	} {
-		if got := totals[c.name]; got != c.want {
-			return fmt.Errorf("%s: report total %d != budget spend %d", c.name, got, c.want)
-		}
-	}
-	return nil
 }
 
 // runResilient walks the degradation ladder and reports the best rung
@@ -397,22 +349,13 @@ func printProvenance(p *service.Provenance) {
 	}
 }
 
-// spendLine formats the non-zero counters of a spend record, so quiet
-// attempts stay one short line instead of fifteen zeroes.
-func spendLine(s service.SpendTotals) string {
-	parts := []string{}
-	for _, c := range []struct {
-		name string
-		v    int64
-	}{
-		{"conflicts", s.Conflicts}, {"props", s.Propagations}, {"forks", s.Forks},
-		{"nodes", s.Nodes}, {"qcache", s.QCacheHits}, {"qmiss", s.QCacheMisses},
-		{"disk", s.DiskHits}, {"dmiss", s.DiskMisses}, {"evict", s.DiskEvictions},
-		{"vn", s.VNHits}, {"fuse", s.IteFusions}, {"blast", s.BlastHits},
-		{"simp", s.SimplifyCalls}, {"merges", s.Merges}, {"ites", s.MergeItes},
-	} {
-		if c.v != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", c.name, c.v))
+// spendLine formats the non-zero counters of a spend record as
+// metric=value, so quiet attempts stay one short line.
+func spendLine(t service.SpendTotals) string {
+	var parts []string
+	for c, v := range t.Spend() {
+		if v != 0 {
+			parts = append(parts, fmt.Sprintf("%s=%d", engine.Counter(c).Metric(), v))
 		}
 	}
 	if len(parts) == 0 {

@@ -123,7 +123,7 @@ func (in *Interner) SetSoftCap(cap int) *Interner {
 	return in
 }
 
-// SetBudget charges every newly interned node to b (engine.Budget AddNodes),
+// SetBudget charges every newly interned node to b (b.Add(engine.Nodes, 1)),
 // so a node-limited budget can stop a pipeline whose expression DAG grows
 // without bound. A nil budget disables charging. Returns the interner for
 // chaining.
@@ -227,7 +227,7 @@ func (in *Interner) intern(t Term) *Term {
 	in.nodes++
 	b, f := in.budget, in.faults
 	in.mu.Unlock()
-	b.AddNodes(1)
+	b.Add(engine.Nodes, 1)
 	if f.Fire(faultpoint.BVNodeExhaust) {
 		b.Fail(errInjectedNodeExhaustion)
 	}
@@ -258,7 +258,7 @@ func (in *Interner) internBool(b Bool) *Bool {
 	in.nodes++
 	bud, f := in.budget, in.faults
 	in.mu.Unlock()
-	bud.AddNodes(1)
+	bud.Add(engine.Nodes, 1)
 	if f.Fire(faultpoint.BVNodeExhaust) {
 		bud.Fail(errInjectedNodeExhaustion)
 	}

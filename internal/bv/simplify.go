@@ -25,6 +25,8 @@ package bv
 // zero-filling — exactly the convention the qcache model-restriction code
 // already uses.
 
+import "stringloops/internal/engine"
+
 // SimplifyStats reports the cumulative effect of the pass on one interner.
 // Node accounting piggybacks on the memoized traversal: NodesIn counts each
 // distinct input node the first time the simplifier visits it, NodesOut each
@@ -71,9 +73,11 @@ func (in *Interner) simpExit(hits0, fus0, nodesIn, nodesOut int64) {
 	dh, df := in.vnHits-hits0, in.iteFusions-fus0
 	in.simpMu.Unlock()
 	b := in.budgetNow()
-	b.AddSimplify(1, nodesIn, nodesOut)
-	b.AddVNHits(dh)
-	b.AddIteFusions(df)
+	b.Add(engine.SimplifyCalls, 1)
+	b.Add(engine.SimplifyNodesIn, nodesIn)
+	b.Add(engine.SimplifyNodesOut, nodesOut)
+	b.Add(engine.VNHits, dh)
+	b.Add(engine.IteFusions, df)
 }
 
 // SimplifyBool returns a formula equivalent to b, rewritten bottom-up.

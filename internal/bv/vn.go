@@ -36,6 +36,8 @@ package bv
 // knows none of them is in its truth map can skip the call: the result
 // would be the input, and nothing would be counted.
 
+import "stringloops/internal/engine"
+
 // PruneUnder rewrites f under the assumption that every key of truth has
 // its mapped boolean value. Collapsed ite branches and replaced guards are
 // counted as ite fusions and charged to the interner budget; a prune is not
@@ -51,7 +53,7 @@ func (in *Interner) PruneUnder(f *Bool, truth map[*Bool]bool) *Bool {
 	r := p.boolNode(f, maxPruneDepth)
 	df := in.iteFusions - f0
 	in.simpMu.Unlock()
-	in.budgetNow().AddIteFusions(df)
+	in.budgetNow().Add(engine.IteFusions, df)
 	return r
 }
 

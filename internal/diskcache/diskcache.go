@@ -140,19 +140,32 @@ func (s *Store) Get(b *engine.Budget, key string) ([]byte, bool) {
 	if s == nil {
 		return nil, false
 	}
+	v, ok := s.probe(key)
+	chargeLookup(b, ok)
+	return v, ok
+}
+
+// probe looks the key up and refreshes its recency without charging.
+func (s *Store) probe(key string) ([]byte, bool) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	e, ok := sh.m[key]
-	if ok {
-		e.at = s.clock.Add(1)
-	}
-	sh.mu.Unlock()
 	if !ok {
-		b.AddDiskMisses(1)
 		return nil, false
 	}
-	b.AddDiskHits(1)
+	e.at = s.clock.Add(1)
 	return e.val, true
+}
+
+// chargeLookup charges one lookup to b: a hit when it was answered without
+// computing, a miss otherwise.
+func chargeLookup(b *engine.Budget, hit bool) {
+	if hit {
+		b.Add(engine.DiskHits, 1)
+	} else {
+		b.Add(engine.DiskMisses, 1)
+	}
 }
 
 // Put inserts or overwrites the key, evicting least-recently-accessed
@@ -201,7 +214,7 @@ func (s *Store) Put(b *engine.Budget, key string, val []byte) {
 		}
 		sh.bytes -= int64(len(victim) + len(sh.m[victim].val))
 		delete(sh.m, victim)
-		b.AddDiskEvictions(1)
+		b.Add(engine.DiskEvictions, 1)
 	}
 	sh.mu.Unlock()
 }
@@ -211,23 +224,25 @@ func (s *Store) Put(b *engine.Budget, key string, val []byte) {
 // for the same key block and share its result. fn returning ok=false means
 // "do not cache" (e.g. a budget-classified failure): the result is still
 // shared with the waiters of this flight, but the next Do recomputes.
+// Each call is charged exactly one lookup: a hit for a stored record or a
+// shared successful flight, a miss otherwise.
 func (s *Store) Do(b *engine.Budget, key string, fn func() ([]byte, bool)) ([]byte, bool) {
 	if s == nil {
 		v, ok := fn()
 		return v, ok
 	}
-	if v, ok := s.Get(b, key); ok {
+	if v, ok := s.probe(key); ok {
+		chargeLookup(b, true)
 		return v, true
 	}
 	s.flightMu.Lock()
 	if f, ok := s.flight[key]; ok {
 		s.flightMu.Unlock()
 		<-f.done
-		if f.ok {
-			b.AddDiskHits(1)
-		}
+		chargeLookup(b, f.ok)
 		return f.val, f.ok
 	}
+	chargeLookup(b, false)
 	f := &flight{done: make(chan struct{})}
 	s.flight[key] = f
 	s.flightMu.Unlock()

@@ -282,6 +282,37 @@ func TestDoSingleflight(t *testing.T) {
 	}
 }
 
+// TestDoChargesWaiterOnce: a caller that joins an in-flight compute is
+// charged one lookup (a hit, since the flight succeeds), not a miss on the
+// store probe plus a hit when the flight lands.
+func TestDoChargesWaiterOnce(t *testing.T) {
+	s := NewStore("", 0, nil)
+	b := newBudget()
+	started, release := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	do := func() {
+		defer wg.Done()
+		s.Do(b, "k", func() ([]byte, bool) {
+			close(started)
+			<-release
+			return []byte("v"), true
+		})
+	}
+	wg.Add(2)
+	go do()
+	<-started
+	// The pause only makes it likely that the second call joins the flight
+	// rather than hitting the stored record; both interleavings must charge
+	// one hit and one miss, so the assertion does not depend on it.
+	go do()
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	wg.Wait()
+	if b.DiskHits() != 1 || b.DiskMisses() != 1 {
+		t.Fatalf("2 lookups charged hits=%d misses=%d, want 1 and 1", b.DiskHits(), b.DiskMisses())
+	}
+}
+
 func TestDoNotCachedOnFailure(t *testing.T) {
 	s := NewStore("", 0, nil)
 	b := newBudget()

@@ -3,20 +3,18 @@
 // strsolver → cegis → memoryless → core), plus the bounded worker pool the
 // concurrent corpus drivers are built on.
 //
-// A Budget wraps a context.Context and a set of resource counters — SAT
-// conflicts, symbolic-execution forks, interned expression nodes and wall
-// clock — under one Exceeded/Err check. Layers *charge* the budget as they
-// work (AddConflicts, AddForks, AddNodes) and *poll* it at their loop heads;
+// A Budget wraps a context.Context, a wall-clock limit and the table of
+// resource counters (Counter) under one Exceeded/Err check. Layers *charge*
+// it as they work (b.Add(Conflicts, 1)) and *poll* it at their loop heads;
 // when any limit trips, or the context is cancelled, every layer unwinds
-// promptly with its own timeout error. This replaces the ad-hoc
-// time.Now().After(deadline) checks that previously lived in cegis, symex
-// and kleebench, and gives external callers a uniform cancellation handle:
-// cancelling the context aborts a run from any depth.
+// promptly with its own timeout error, and external callers cancel a run
+// from any depth through the context.
 package engine
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -71,17 +69,91 @@ func (l Limits) Scale(mult float64, max Limits) Limits {
 		Nodes:     scaleInt(l.Nodes, max.Nodes),
 	}
 	if l.Timeout > 0 {
-		f := float64(l.Timeout) * mult
-		if f > float64(1<<62) {
-			out.Timeout = 1 << 62
-		} else {
-			out.Timeout = time.Duration(f)
-		}
-		if max.Timeout > 0 && out.Timeout > max.Timeout {
-			out.Timeout = max.Timeout
-		}
+		out.Timeout = time.Duration(scaleInt(int64(l.Timeout), int64(max.Timeout)))
 	}
 	return out
+}
+
+// Counter names one resource counter a Budget accounts. The table below
+// is the one place the set is declared: the atomics, registry mirrors,
+// Spend and both reconcile checks (loopsum -corpus, the daemon) derive from
+// it, so a new counter is one row here, its obs name and its
+// service.SpendTotals field. Conflicts, Forks and Nodes carry limits; the
+// rest are accounting only.
+type Counter int
+
+const (
+	Conflicts        Counter = iota // SAT conflicts
+	Propagations                    // SAT unit propagations
+	Forks                           // symbolic-execution forks
+	Nodes                           // interned bit-vector nodes
+	CacheHits                       // query-cache (internal/qcache) hits
+	CacheMisses                     // query-cache misses
+	Merges                          // pairwise symbolic-state joins
+	MergeItes                       // ite nodes those joins introduced
+	DiskHits                        // persistent-cache (internal/diskcache) hits
+	DiskMisses                      // persistent-cache misses
+	DiskEvictions                   // persistent-cache evictions
+	VNHits                          // value-numbering memo hits
+	IteFusions                      // ite fusions, pull-ups and guard prunes
+	BlastHits                       // CNF blast-cache hits
+	SimplifyCalls                   // top-level SimplifyBool/SimplifyTerm calls
+	SimplifyNodesIn                 // DAG size of memo-missing simplifier inputs
+	SimplifyNodesOut                // DAG size of their rewritten outputs
+	NumCounters
+)
+
+// metricNames maps each counter to its canonical registry name.
+var metricNames = [NumCounters]string{
+	Conflicts:        obs.MSatConflicts,
+	Propagations:     obs.MSatPropagations,
+	Forks:            obs.MSymexForks,
+	Nodes:            obs.MBVNodes,
+	CacheHits:        obs.MQCacheHits,
+	CacheMisses:      obs.MQCacheMisses,
+	Merges:           obs.MSymexMerges,
+	MergeItes:        obs.MSymexMergeItes,
+	DiskHits:         obs.MDiskHits,
+	DiskMisses:       obs.MDiskMisses,
+	DiskEvictions:    obs.MDiskEvictions,
+	VNHits:           obs.MBVVNHits,
+	IteFusions:       obs.MBVIteFusions,
+	BlastHits:        obs.MBVBlastHits,
+	SimplifyCalls:    obs.MBVSimplifyCalls,
+	SimplifyNodesIn:  obs.MBVSimplifyNodesIn,
+	SimplifyNodesOut: obs.MBVSimplifyNodesOut,
+}
+
+// Metric returns the counter's canonical obs registry name.
+func (c Counter) Metric() string { return metricNames[c] }
+
+// Spend is a snapshot of every budget counter, indexed by Counter.
+type Spend [NumCounters]int64
+
+// Add accumulates o into s.
+func (s *Spend) Add(o Spend) {
+	for c := range s {
+		s[c] += o[c]
+	}
+}
+
+// SumSpend folds the spend of every budget into one record.
+func SumSpend(budgets []*Budget) (s Spend) {
+	for _, b := range budgets {
+		s.Add(b.Spend())
+	}
+	return s
+}
+
+// Check verifies that every counter of s equals the registry total under
+// its metric name (missing reads as 0); the error names the first drift.
+func (s Spend) Check(totals map[string]int64) error {
+	for c, want := range s {
+		if got := totals[metricNames[c]]; got != want {
+			return fmt.Errorf("%s: registry total %d != budget spend %d", metricNames[c], got, want)
+		}
+	}
+	return nil
 }
 
 // Budget is a shared, concurrency-safe cancellation and accounting object.
@@ -93,79 +165,20 @@ type Budget struct {
 	deadline time.Time // zero when no wall-clock limit applies
 	lim      Limits
 
-	conflicts atomic.Int64
-	forks     atomic.Int64
-	nodes     atomic.Int64
-
-	// propagations accounts for SAT unit propagations (observability only,
-	// no limit trips on it).
-	propagations atomic.Int64
-
-	// cacheHits/cacheMisses account for the query-cache layer
-	// (internal/qcache). They are pure observability — no limit trips on
-	// them — but they live here so every pipeline sharing a budget reports
-	// one coherent hit rate.
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
-
-	// merges/mergeItes account for the state-merging symbolic executor:
-	// merges counts pairwise state joins, mergeItes the ite nodes those joins
-	// introduced. Accounting only — merging reduces work, so no limit trips
-	// on it — but charged here so merged and enumerated runs reconcile
-	// against one budget.
-	merges    atomic.Int64
-	mergeItes atomic.Int64
-
-	// diskHits/diskMisses/diskEvictions account for the persistent
-	// cross-process cache tier (internal/diskcache). Accounting only, like
-	// the in-memory cache counters above, so warm and cold runs reconcile
-	// against one budget.
-	diskHits      atomic.Int64
-	diskMisses    atomic.Int64
-	diskEvictions atomic.Int64
-
-	// Value-numbering / rewrite-layer counters (internal/bv): simplification
-	// memo hits, ite-aware rewrites (fusions, pull-ups, guard prunes), CNF
-	// blast-cache hits, and the simplifier's call/node traffic. Accounting
-	// only — the rewrite layer reduces work — but charged here so vn-on and
-	// vn-off runs reconcile against one budget.
-	vnHits       atomic.Int64
-	iteFusions   atomic.Int64
-	blastHits    atomic.Int64
-	simpCalls    atomic.Int64
-	simpNodesIn  atomic.Int64
-	simpNodesOut atomic.Int64
+	spent [NumCounters]atomic.Int64
 
 	// done caches the first observed exhaustion so later polls are cheap
 	// and the reported cause is stable.
 	done atomic.Pointer[error]
 
-	// Observability handles ride the budget because the budget is already
-	// threaded through every layer (sat → bv → qcache → symex → cegis →
-	// memoryless → core): layers read b.Tracer()/b.Metrics() instead of
-	// growing new parameters. All nil when observability is off. The
-	// m* counters mirror the atomics above into the metrics registry so the
-	// run report reconciles 1:1 with budget spend.
+	// Observability handles ride the budget because it is already threaded
+	// through every layer: layers read b.Tracer()/b.Metrics() instead of
+	// growing new parameters. All nil when observability is off. mirror
+	// holds each counter's registry twin, so reports reconcile 1:1 with
+	// budget spend.
 	tracer  *obs.Tracer
 	metrics *obs.Metrics
-
-	mConflicts    *obs.Counter
-	mPropagations *obs.Counter
-	mForks        *obs.Counter
-	mNodes        *obs.Counter
-	mCacheHits    *obs.Counter
-	mCacheMisses  *obs.Counter
-	mMerges       *obs.Counter
-	mMergeItes    *obs.Counter
-	mDiskHits     *obs.Counter
-	mDiskMisses   *obs.Counter
-	mDiskEvicts   *obs.Counter
-	mVNHits       *obs.Counter
-	mIteFusions   *obs.Counter
-	mBlastHits    *obs.Counter
-	mSimpCalls    *obs.Counter
-	mSimpNodesIn  *obs.Counter
-	mSimpNodesOut *obs.Counter
+	mirror  [NumCounters]*obs.Counter
 }
 
 // NewBudget builds a budget from a context and limits. A nil context means
@@ -192,33 +205,18 @@ func NewBudget(ctx context.Context, lim Limits) *Budget {
 	return b
 }
 
-// SetObs attaches a tracer and metrics registry to the budget (either may be
-// nil) and returns b for chaining. From then on every Add* charge is
-// mirrored into the registry's canonical counters, and layers holding the
-// budget reach the tracer via b.Tracer(). Call before handing the budget to
-// workers; it is not synchronised against concurrent Add*.
+// SetObs attaches a tracer and metrics registry (either may be nil) and
+// returns b. It registers every counter's mirror eagerly, so each later Add
+// also charges the registry. Call before handing the budget to workers; it
+// is not synchronised against concurrent Add.
 func (b *Budget) SetObs(t *obs.Tracer, m *obs.Metrics) *Budget {
 	if b == nil {
 		return nil
 	}
 	b.tracer, b.metrics = t, m
-	b.mConflicts = m.Counter(obs.MSatConflicts)
-	b.mPropagations = m.Counter(obs.MSatPropagations)
-	b.mForks = m.Counter(obs.MSymexForks)
-	b.mNodes = m.Counter(obs.MBVNodes)
-	b.mCacheHits = m.Counter(obs.MQCacheHits)
-	b.mCacheMisses = m.Counter(obs.MQCacheMisses)
-	b.mMerges = m.Counter(obs.MSymexMerges)
-	b.mMergeItes = m.Counter(obs.MSymexMergeItes)
-	b.mDiskHits = m.Counter(obs.MDiskHits)
-	b.mDiskMisses = m.Counter(obs.MDiskMisses)
-	b.mDiskEvicts = m.Counter(obs.MDiskEvictions)
-	b.mVNHits = m.Counter(obs.MBVVNHits)
-	b.mIteFusions = m.Counter(obs.MBVIteFusions)
-	b.mBlastHits = m.Counter(obs.MBVBlastHits)
-	b.mSimpCalls = m.Counter(obs.MBVSimplifyCalls)
-	b.mSimpNodesIn = m.Counter(obs.MBVSimplifyNodesIn)
-	b.mSimpNodesOut = m.Counter(obs.MBVSimplifyNodesOut)
+	for c := range b.mirror {
+		b.mirror[c] = m.Counter(metricNames[c])
+	}
 	return b
 }
 
@@ -238,11 +236,6 @@ func (b *Budget) Metrics() *obs.Metrics {
 	return b.metrics
 }
 
-// WithTimeout is shorthand for a wall-clock-only budget.
-func WithTimeout(d time.Duration) *Budget {
-	return NewBudget(nil, Limits{Timeout: d})
-}
-
 // Err reports why the budget is exhausted, or nil while work may continue.
 // The first non-nil result is sticky: once a run is over budget it stays
 // over budget, and all layers see the same cause.
@@ -253,14 +246,11 @@ func (b *Budget) Err() error {
 	if p := b.done.Load(); p != nil {
 		return *p
 	}
-	err := b.check()
-	if err != nil {
+	if err := b.check(); err != nil {
 		b.done.CompareAndSwap(nil, &err)
-		if p := b.done.Load(); p != nil {
-			return *p
-		}
+		return *b.done.Load()
 	}
-	return err
+	return nil
 }
 
 func (b *Budget) check() error {
@@ -270,13 +260,13 @@ func (b *Budget) check() error {
 	if !b.deadline.IsZero() && time.Now().After(b.deadline) {
 		return errors.Join(ErrBudget, context.DeadlineExceeded)
 	}
-	if b.lim.Conflicts > 0 && b.conflicts.Load() >= b.lim.Conflicts {
+	if b.lim.Conflicts > 0 && b.spent[Conflicts].Load() >= b.lim.Conflicts {
 		return errors.Join(ErrBudget, errors.New("engine: SAT conflict limit"))
 	}
-	if b.lim.Forks > 0 && b.forks.Load() >= b.lim.Forks {
+	if b.lim.Forks > 0 && b.spent[Forks].Load() >= b.lim.Forks {
 		return errors.Join(ErrBudget, errors.New("engine: fork limit"))
 	}
-	if b.lim.Nodes > 0 && b.nodes.Load() >= b.lim.Nodes {
+	if b.lim.Nodes > 0 && b.spent[Nodes].Load() >= b.lim.Nodes {
 		return errors.Join(ErrBudget, errors.New("engine: interned-node limit"))
 	}
 	return nil
@@ -299,276 +289,48 @@ func (b *Budget) Fail(cause error) {
 	b.done.CompareAndSwap(nil, &err)
 }
 
-// AddConflicts charges n SAT conflicts.
-func (b *Budget) AddConflicts(n int64) {
-	if b != nil {
-		b.conflicts.Add(n)
-		b.mConflicts.Add(n)
-	}
-}
-
-// AddPropagations charges n SAT unit propagations (accounting only, never
-// limits).
-func (b *Budget) AddPropagations(n int64) {
-	if b != nil {
-		b.propagations.Add(n)
-		b.mPropagations.Add(n)
-	}
-}
-
-// AddForks charges n symbolic-execution forks.
-func (b *Budget) AddForks(n int64) {
-	if b != nil {
-		b.forks.Add(n)
-		b.mForks.Add(n)
-	}
-}
-
-// AddNodes charges n interned expression nodes.
-func (b *Budget) AddNodes(n int64) {
-	if b != nil {
-		b.nodes.Add(n)
-		b.mNodes.Add(n)
-	}
-}
-
-// AddCacheHits charges n query-cache hits (accounting only, never limits).
-func (b *Budget) AddCacheHits(n int64) {
-	if b != nil {
-		b.cacheHits.Add(n)
-		b.mCacheHits.Add(n)
-	}
-}
-
-// AddCacheMisses charges n query-cache misses (accounting only).
-func (b *Budget) AddCacheMisses(n int64) {
-	if b != nil {
-		b.cacheMisses.Add(n)
-		b.mCacheMisses.Add(n)
-	}
-}
-
-// AddMerges charges n symbolic-state merges (accounting only).
-func (b *Budget) AddMerges(n int64) {
-	if b != nil {
-		b.merges.Add(n)
-		b.mMerges.Add(n)
-	}
-}
-
-// AddMergeItes charges n merge-introduced ite nodes (accounting only).
-func (b *Budget) AddMergeItes(n int64) {
-	if b != nil {
-		b.mergeItes.Add(n)
-		b.mMergeItes.Add(n)
-	}
-}
-
-// AddDiskHits charges n persistent-cache hits (accounting only).
-func (b *Budget) AddDiskHits(n int64) {
-	if b != nil {
-		b.diskHits.Add(n)
-		b.mDiskHits.Add(n)
-	}
-}
-
-// AddDiskMisses charges n persistent-cache misses (accounting only).
-func (b *Budget) AddDiskMisses(n int64) {
-	if b != nil {
-		b.diskMisses.Add(n)
-		b.mDiskMisses.Add(n)
-	}
-}
-
-// AddDiskEvictions charges n persistent-cache evictions (accounting only).
-func (b *Budget) AddDiskEvictions(n int64) {
-	if b != nil {
-		b.diskEvictions.Add(n)
-		b.mDiskEvicts.Add(n)
-	}
-}
-
-// AddVNHits charges n value-numbering memo hits (accounting only).
-func (b *Budget) AddVNHits(n int64) {
+// Add charges n to counter c and its registry mirror.
+func (b *Budget) Add(c Counter, n int64) {
 	if b != nil && n != 0 {
-		b.vnHits.Add(n)
-		b.mVNHits.Add(n)
+		b.spent[c].Add(n)
+		b.mirror[c].Add(n)
 	}
 }
 
-// AddIteFusions charges n ite-aware rewrites — shared-guard fusions,
-// comparison pull-ups and guard-implication prunes (accounting only).
-func (b *Budget) AddIteFusions(n int64) {
-	if b != nil && n != 0 {
-		b.iteFusions.Add(n)
-		b.mIteFusions.Add(n)
-	}
-}
-
-// AddBlastHits charges n CNF blast-cache hits (accounting only).
-func (b *Budget) AddBlastHits(n int64) {
-	if b != nil && n != 0 {
-		b.blastHits.Add(n)
-		b.mBlastHits.Add(n)
-	}
-}
-
-// AddSimplify charges one batch of simplifier traffic: calls top-level
-// SimplifyBool/SimplifyTerm invocations, nodesIn/nodesOut the DAG sizes of
-// memo-missing inputs and their rewritten outputs (accounting only).
-func (b *Budget) AddSimplify(calls, nodesIn, nodesOut int64) {
-	if b == nil {
-		return
-	}
-	if calls != 0 {
-		b.simpCalls.Add(calls)
-		b.mSimpCalls.Add(calls)
-	}
-	if nodesIn != 0 {
-		b.simpNodesIn.Add(nodesIn)
-		b.mSimpNodesIn.Add(nodesIn)
-	}
-	if nodesOut != 0 {
-		b.simpNodesOut.Add(nodesOut)
-		b.mSimpNodesOut.Add(nodesOut)
-	}
-}
-
-// VNHits returns the value-numbering memo hits charged so far.
-func (b *Budget) VNHits() int64 {
+// Get returns the amount charged to counter c so far.
+func (b *Budget) Get(c Counter) int64 {
 	if b == nil {
 		return 0
 	}
-	return b.vnHits.Load()
+	return b.spent[c].Load()
 }
 
-// IteFusions returns the ite-aware rewrites charged so far.
-func (b *Budget) IteFusions() int64 {
-	if b == nil {
-		return 0
+// Spend snapshots every counter (all zero for a nil budget).
+func (b *Budget) Spend() (s Spend) {
+	for c := range s {
+		s[c] = b.Get(Counter(c))
 	}
-	return b.iteFusions.Load()
+	return s
 }
 
-// BlastHits returns the CNF blast-cache hits charged so far.
-func (b *Budget) BlastHits() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.blastHits.Load()
-}
-
-// SimplifyCalls returns the top-level simplifier calls charged so far.
-func (b *Budget) SimplifyCalls() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.simpCalls.Load()
-}
-
-// SimplifyNodesIn returns the simplifier input nodes charged so far.
-func (b *Budget) SimplifyNodesIn() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.simpNodesIn.Load()
-}
-
-// SimplifyNodesOut returns the simplifier output nodes charged so far.
-func (b *Budget) SimplifyNodesOut() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.simpNodesOut.Load()
-}
-
-// DiskHits returns the persistent-cache hits charged so far.
-func (b *Budget) DiskHits() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.diskHits.Load()
-}
-
-// DiskMisses returns the persistent-cache misses charged so far.
-func (b *Budget) DiskMisses() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.diskMisses.Load()
-}
-
-// DiskEvictions returns the persistent-cache evictions charged so far.
-func (b *Budget) DiskEvictions() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.diskEvictions.Load()
-}
-
-// Merges returns the symbolic-state merges charged so far.
-func (b *Budget) Merges() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.merges.Load()
-}
-
-// MergeItes returns the merge-introduced ite nodes charged so far.
-func (b *Budget) MergeItes() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.mergeItes.Load()
-}
-
-// CacheHits returns the query-cache hits charged so far.
-func (b *Budget) CacheHits() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.cacheHits.Load()
-}
-
-// CacheMisses returns the query-cache misses charged so far.
-func (b *Budget) CacheMisses() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.cacheMisses.Load()
-}
-
-// Propagations returns the SAT unit propagations charged so far.
-func (b *Budget) Propagations() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.propagations.Load()
-}
-
-// Conflicts returns the conflicts charged so far.
-func (b *Budget) Conflicts() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.conflicts.Load()
-}
-
-// Forks returns the forks charged so far.
-func (b *Budget) Forks() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.forks.Load()
-}
-
-// Nodes returns the interned nodes charged so far.
-func (b *Budget) Nodes() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.nodes.Load()
-}
+// Named readers: Get for one counter each.
+func (b *Budget) Conflicts() int64        { return b.Get(Conflicts) }
+func (b *Budget) Propagations() int64     { return b.Get(Propagations) }
+func (b *Budget) Forks() int64            { return b.Get(Forks) }
+func (b *Budget) Nodes() int64            { return b.Get(Nodes) }
+func (b *Budget) CacheHits() int64        { return b.Get(CacheHits) }
+func (b *Budget) CacheMisses() int64      { return b.Get(CacheMisses) }
+func (b *Budget) Merges() int64           { return b.Get(Merges) }
+func (b *Budget) MergeItes() int64        { return b.Get(MergeItes) }
+func (b *Budget) DiskHits() int64         { return b.Get(DiskHits) }
+func (b *Budget) DiskMisses() int64       { return b.Get(DiskMisses) }
+func (b *Budget) DiskEvictions() int64    { return b.Get(DiskEvictions) }
+func (b *Budget) VNHits() int64           { return b.Get(VNHits) }
+func (b *Budget) IteFusions() int64       { return b.Get(IteFusions) }
+func (b *Budget) BlastHits() int64        { return b.Get(BlastHits) }
+func (b *Budget) SimplifyCalls() int64    { return b.Get(SimplifyCalls) }
+func (b *Budget) SimplifyNodesIn() int64  { return b.Get(SimplifyNodesIn) }
+func (b *Budget) SimplifyNodesOut() int64 { return b.Get(SimplifyNodesOut) }
 
 // Elapsed returns the wall-clock time since the budget was created.
 func (b *Budget) Elapsed() time.Duration {

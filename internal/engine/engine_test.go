@@ -3,9 +3,12 @@ package engine
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"stringloops/internal/obs"
 )
 
 func TestNilBudgetIsUnlimited(t *testing.T) {
@@ -13,35 +16,95 @@ func TestNilBudgetIsUnlimited(t *testing.T) {
 	if b.Exceeded() || b.Err() != nil {
 		t.Fatal("nil budget must never be exceeded")
 	}
-	b.AddConflicts(10)
-	b.AddForks(10)
-	b.AddNodes(10)
-	if b.Conflicts() != 0 || b.Forks() != 0 || b.Nodes() != 0 {
-		t.Fatal("nil budget must not accumulate")
+	for c := Counter(0); c < NumCounters; c++ {
+		b.Add(c, 10)
+		if b.Get(c) != 0 {
+			t.Fatalf("nil budget accumulated %s", c.Metric())
+		}
+	}
+	if b.Spend() != (Spend{}) {
+		t.Fatal("nil budget must report zero spend")
 	}
 	if b.Context() == nil {
 		t.Fatal("nil budget context must be non-nil")
 	}
 }
 
+// TestBudgetCounters: each limited counter exhausts the budget through
+// Add exactly when it reaches its limit.
 func TestBudgetCounters(t *testing.T) {
-	b := NewBudget(nil, Limits{Conflicts: 100, Forks: 5, Nodes: 50})
-	b.AddConflicts(99)
-	if b.Exceeded() {
-		t.Fatal("under the conflict cap")
+	for _, tc := range []struct {
+		c   Counter
+		lim Limits
+	}{
+		{Conflicts, Limits{Conflicts: 100}},
+		{Forks, Limits{Forks: 100}},
+		{Nodes, Limits{Nodes: 100}},
+	} {
+		b := NewBudget(nil, tc.lim)
+		b.Add(tc.c, 99)
+		if b.Exceeded() {
+			t.Fatalf("%s: exceeded under the limit", tc.c.Metric())
+		}
+		b.Add(tc.c, 1)
+		if !errors.Is(b.Err(), ErrBudget) {
+			t.Fatalf("%s: Err = %v at the limit, want ErrBudget", tc.c.Metric(), b.Err())
+		}
 	}
-	b.AddConflicts(1)
-	if !b.Exceeded() {
-		t.Fatal("at the conflict cap")
+}
+
+func TestCounterMetricNamesUnique(t *testing.T) {
+	seen := map[string]Counter{}
+	for c := Counter(0); c < NumCounters; c++ {
+		name := c.Metric()
+		if name == "" {
+			t.Fatalf("counter %d has no metric name", c)
+		}
+		if prev, dup := seen[name]; dup {
+			t.Fatalf("counters %d and %d share metric %q", prev, c, name)
+		}
+		seen[name] = c
 	}
-	if !errors.Is(b.Err(), ErrBudget) {
-		t.Fatalf("Err = %v, want ErrBudget", b.Err())
+}
+
+// TestSpendCheckReconciles charges every counter a distinct prime through a
+// budget mirrored into a fresh registry: the snapshot must pass Check, and
+// bumping any one registry counter must fail it, naming that counter.
+func TestSpendCheckReconciles(t *testing.T) {
+	m := obs.NewMetrics()
+	b := NewBudget(nil, Limits{}).SetObs(nil, m)
+	if n := len(m.Snapshot().Counters); n != int(NumCounters) {
+		t.Fatalf("SetObs registered %d counters, want all %d rows", n, NumCounters)
+	}
+	primes := [NumCounters]int64{2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59}
+	for c, p := range primes {
+		b.Add(Counter(c), p)
+	}
+	if b.Spend() != Spend(primes) {
+		t.Fatalf("Spend = %v, want %v", b.Spend(), primes)
+	}
+	if err := b.Spend().Check(m.Snapshot().Counters); err != nil {
+		t.Fatalf("fresh registry does not reconcile: %v", err)
+	}
+	for c := Counter(0); c < NumCounters; c++ {
+		m.Counter(c.Metric()).Add(1)
+		err := b.Spend().Check(m.Snapshot().Counters)
+		if err == nil || !strings.Contains(err.Error(), c.Metric()) {
+			t.Fatalf("bumped %s: Check = %v, want an error naming it", c.Metric(), err)
+		}
+		m.Counter(c.Metric()).Add(-1)
+	}
+	var sum Spend
+	sum.Add(b.Spend())
+	sum.Add(b.Spend())
+	if got := SumSpend([]*Budget{b, nil, b}); got != sum {
+		t.Fatalf("SumSpend = %v, want %v", got, sum)
 	}
 }
 
 func TestBudgetErrIsSticky(t *testing.T) {
 	b := NewBudget(nil, Limits{Forks: 1})
-	b.AddForks(1)
+	b.Add(Forks, 1)
 	first := b.Err()
 	if first == nil {
 		t.Fatal("expected exhaustion")

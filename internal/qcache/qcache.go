@@ -334,7 +334,7 @@ func (c *Cache) checkGroup(b *engine.Budget, maxConflicts int64, g group, wantMo
 	if c.faults.Fire(faultpoint.QCacheMiss) {
 		// Injected miss storm: bypass every reuse rule and pay the solver.
 		c.stats.Misses++
-		b.AddCacheMisses(1)
+		b.Add(engine.CacheMisses, 1)
 		return c.solveGroup(b, maxConflicts, gk, g)
 	}
 
@@ -377,7 +377,7 @@ func (c *Cache) checkGroup(b *engine.Budget, maxConflicts int64, g group, wantMo
 		}
 		if ok {
 			c.stats.ModelHits++
-			b.AddCacheHits(1)
+			b.Add(engine.CacheHits, 1)
 			restricted := restrictModel(cm.asn, c.groupVars(g))
 			c.remember(b, gk, sat.Sat, restricted)
 			return sat.Sat, restricted
@@ -390,14 +390,14 @@ func (c *Cache) checkGroup(b *engine.Budget, maxConflicts int64, g group, wantMo
 	for _, core := range c.unsatCores {
 		if subsetOf(core, g.ids) {
 			c.stats.SubsetHits++
-			b.AddCacheHits(1)
+			b.Add(engine.CacheHits, 1)
 			c.remember(b, gk, sat.Unsat, nil)
 			return sat.Unsat, nil
 		}
 	}
 
 	c.stats.Misses++
-	b.AddCacheMisses(1)
+	b.Add(engine.CacheMisses, 1)
 	return c.solveGroup(b, maxConflicts, gk, g)
 }
 
@@ -409,7 +409,7 @@ func (c *Cache) checkGroup(b *engine.Budget, maxConflicts int64, g group, wantMo
 // the caller wants the model. Caller holds c.mu.
 func (c *Cache) exactHit(b *engine.Budget, gk groupKey, e exactEntry, wantModel bool) (sat.Status, *bv.Assignment) {
 	c.stats.ExactHits++
-	b.AddCacheHits(1)
+	b.Add(engine.CacheHits, 1)
 	if e.status != sat.Sat {
 		return e.status, nil
 	}
@@ -466,7 +466,7 @@ func (c *Cache) solveGroup(b *engine.Budget, maxConflicts int64, gk groupKey, g 
 		// verdicts or cache identity.
 		lits[i] = c.solver.Lit(c.in.SimplifyBool(cj))
 	}
-	b.AddBlastHits(c.solver.BlastHits() - blast0)
+	b.Add(engine.BlastHits, c.solver.BlastHits()-blast0)
 	c.stats.BlastTime += time.Since(blastStart)
 
 	searchStart := time.Now()

@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"stringloops/internal/core"
+	"stringloops/internal/engine"
 )
 
 // Request is the JSON body of POST /summarize: one C string loop and the
@@ -103,44 +104,77 @@ type Response struct {
 	Provenance *Provenance `json:"provenance,omitempty"`
 }
 
-// SpendTotals is resource spend as engine.Budget accounts it — the same
-// counters the server reconciles 1:1 against the request's private metric
-// registry (and loopsum -corpus reconciles offline).
+// SpendTotals is resource spend as engine.Budget accounts it, in wire
+// form: one JSON field per engine.Counter, mapped by fields. The server
+// reconciles the same counters 1:1 against the request's private metric
+// registry (and loopsum -corpus reconciles them offline).
 type SpendTotals struct {
-	Conflicts     int64 `json:"conflicts,omitempty"`
-	Propagations  int64 `json:"propagations,omitempty"`
-	Forks         int64 `json:"forks,omitempty"`
-	Nodes         int64 `json:"nodes,omitempty"`
-	QCacheHits    int64 `json:"qcache_hits,omitempty"`
-	QCacheMisses  int64 `json:"qcache_misses,omitempty"`
-	DiskHits      int64 `json:"disk_hits,omitempty"`
-	DiskMisses    int64 `json:"disk_misses,omitempty"`
-	DiskEvictions int64 `json:"disk_evictions,omitempty"`
-	VNHits        int64 `json:"vn_hits,omitempty"`
-	IteFusions    int64 `json:"ite_fusions,omitempty"`
-	BlastHits     int64 `json:"blast_hits,omitempty"`
-	SimplifyCalls int64 `json:"simplify_calls,omitempty"`
-	Merges        int64 `json:"merges,omitempty"`
-	MergeItes     int64 `json:"merge_ites,omitempty"`
+	Conflicts        int64 `json:"conflicts,omitempty"`
+	Propagations     int64 `json:"propagations,omitempty"`
+	Forks            int64 `json:"forks,omitempty"`
+	Nodes            int64 `json:"nodes,omitempty"`
+	QCacheHits       int64 `json:"qcache_hits,omitempty"`
+	QCacheMisses     int64 `json:"qcache_misses,omitempty"`
+	DiskHits         int64 `json:"disk_hits,omitempty"`
+	DiskMisses       int64 `json:"disk_misses,omitempty"`
+	DiskEvictions    int64 `json:"disk_evictions,omitempty"`
+	VNHits           int64 `json:"vn_hits,omitempty"`
+	IteFusions       int64 `json:"ite_fusions,omitempty"`
+	BlastHits        int64 `json:"blast_hits,omitempty"`
+	SimplifyCalls    int64 `json:"simplify_calls,omitempty"`
+	SimplifyNodesIn  int64 `json:"simplify_nodes_in,omitempty"`
+	SimplifyNodesOut int64 `json:"simplify_nodes_out,omitempty"`
+	Merges           int64 `json:"merges,omitempty"`
+	MergeItes        int64 `json:"merge_ites,omitempty"`
+}
+
+// fields maps each engine counter to the wire field that carries it.
+func (t *SpendTotals) fields() [engine.NumCounters]*int64 {
+	return [engine.NumCounters]*int64{
+		engine.Conflicts:        &t.Conflicts,
+		engine.Propagations:     &t.Propagations,
+		engine.Forks:            &t.Forks,
+		engine.Nodes:            &t.Nodes,
+		engine.CacheHits:        &t.QCacheHits,
+		engine.CacheMisses:      &t.QCacheMisses,
+		engine.DiskHits:         &t.DiskHits,
+		engine.DiskMisses:       &t.DiskMisses,
+		engine.DiskEvictions:    &t.DiskEvictions,
+		engine.VNHits:           &t.VNHits,
+		engine.IteFusions:       &t.IteFusions,
+		engine.BlastHits:        &t.BlastHits,
+		engine.SimplifyCalls:    &t.SimplifyCalls,
+		engine.SimplifyNodesIn:  &t.SimplifyNodesIn,
+		engine.SimplifyNodesOut: &t.SimplifyNodesOut,
+		engine.Merges:           &t.Merges,
+		engine.MergeItes:        &t.MergeItes,
+	}
+}
+
+// spendTotals converts an engine spend record to wire form.
+func spendTotals(s engine.Spend) SpendTotals {
+	var t SpendTotals
+	for c, f := range t.fields() {
+		*f = s[c]
+	}
+	return t
+}
+
+// Spend converts the wire form back to an engine spend record.
+func (t SpendTotals) Spend() engine.Spend {
+	var s engine.Spend
+	for c, f := range t.fields() {
+		s[c] = *f
+	}
+	return s
 }
 
 // Add accumulates one attempt's spend into the totals.
 func (t *SpendTotals) Add(o SpendTotals) {
-	t.Conflicts += o.Conflicts
-	t.Propagations += o.Propagations
-	t.Forks += o.Forks
-	t.Nodes += o.Nodes
-	t.QCacheHits += o.QCacheHits
-	t.QCacheMisses += o.QCacheMisses
-	t.DiskHits += o.DiskHits
-	t.DiskMisses += o.DiskMisses
-	t.DiskEvictions += o.DiskEvictions
-	t.VNHits += o.VNHits
-	t.IteFusions += o.IteFusions
-	t.BlastHits += o.BlastHits
-	t.SimplifyCalls += o.SimplifyCalls
-	t.Merges += o.Merges
-	t.MergeItes += o.MergeItes
+	dst, src := t.fields(), o.fields()
+	for c := range dst {
+		*dst[c] += *src[c]
+	}
 }
 
 // AttemptProvenance is one supervised attempt of the ladder with its own

@@ -5,14 +5,16 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
+	"stringloops/internal/engine"
 	"stringloops/internal/loopdb"
 	"stringloops/internal/obs"
 )
 
-func newExplainServer(t *testing.T) (*Server, *httptest.Server, *obs.Metrics) {
+func newExplainServer(t *testing.T, merge bool) (*Server, *httptest.Server, *obs.Metrics) {
 	t.Helper()
 	m := obs.NewMetrics()
 	s := New(Config{
@@ -20,6 +22,7 @@ func newExplainServer(t *testing.T) (*Server, *httptest.Server, *obs.Metrics) {
 		Overload:    OverloadPolicy{Disable: true},
 		Metrics:     m,
 		Tracer:      obs.NewDeterministic(),
+		Merge:       merge,
 	})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -31,7 +34,7 @@ func newExplainServer(t *testing.T) (*Server, *httptest.Server, *obs.Metrics) {
 // id echoes the propagated header, and whose policy inputs explain the
 // chosen rung. A non-explain request must carry no provenance.
 func TestExplainProvenance(t *testing.T) {
-	_, ts, m := newExplainServer(t)
+	_, ts, m := newExplainServer(t, false)
 	l := loopdb.Corpus()[0]
 	cl := &Client{Base: ts.URL, Seed: 7}
 
@@ -92,12 +95,65 @@ func TestExplainProvenance(t *testing.T) {
 	}
 }
 
+// TestSpendTotalsMapsEveryCounter: the wire record has one int64 field per
+// engine counter, and fields maps each counter to a distinct one of them.
+func TestSpendTotalsMapsEveryCounter(t *testing.T) {
+	var st SpendTotals
+	v := reflect.ValueOf(&st).Elem()
+	if v.NumField() != int(engine.NumCounters) {
+		t.Fatalf("SpendTotals has %d fields, engine has %d counters", v.NumField(), engine.NumCounters)
+	}
+	fields := st.fields()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		if f.Type.Kind() != reflect.Int64 {
+			t.Fatalf("field %s is %s, want int64", f.Name, f.Type)
+		}
+		p, n := v.Field(i).Addr().Interface().(*int64), 0
+		for _, q := range fields {
+			if q == p {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("field %s carries %d counters, want exactly 1", f.Name, n)
+		}
+	}
+}
+
+// TestExplainMergedCarriesSimplifyNodes: a merged pipeline merges states
+// and runs the simplifier, and the reconciled explain totals carry both
+// its merge counts and its simplifier node traffic.
+func TestExplainMergedCarriesSimplifyNodes(t *testing.T) {
+	_, ts, m := newExplainServer(t, true)
+	l := loopdb.Corpus()[0]
+	cl := &Client{Base: ts.URL}
+	resp, err := cl.Summarize(context.Background(),
+		Request{Source: l.Source, Func: l.FuncName, Explain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := resp.Provenance
+	if p == nil || !p.Reconciled {
+		t.Fatalf("merged explain request not reconciled: %+v", p)
+	}
+	if got := m.Counter(MSvcReconcileDrift).Value(); got != 0 {
+		t.Errorf("reconcile drift = %d, want 0", got)
+	}
+	if p.Totals.Merges == 0 {
+		t.Fatalf("loop %s did not merge: %+v", l.Name, p.Totals)
+	}
+	if p.Totals.SimplifyNodesIn == 0 || p.Totals.SimplifyNodesOut == 0 {
+		t.Errorf("merged totals carry no simplifier nodes: %+v", p.Totals)
+	}
+}
+
 // TestMetricsEndpointFormats: /metrics serves the same snapshot as JSON
 // (default) and Prometheus exposition (?format=prom), with correct
 // Content-Type, HEAD support, runtime health gauges, and a 400 on unknown
 // formats.
 func TestMetricsEndpointFormats(t *testing.T) {
-	_, ts, _ := newExplainServer(t)
+	_, ts, _ := newExplainServer(t, false)
 	l := loopdb.Corpus()[0]
 	cl := &Client{Base: ts.URL}
 	if _, err := cl.Summarize(context.Background(), Request{Source: l.Source, Func: l.FuncName}); err != nil {
@@ -165,7 +221,7 @@ func TestMetricsEndpointFormats(t *testing.T) {
 
 // TestHealthzSchema: /healthz is the typed Health struct, not ad-hoc keys.
 func TestHealthzSchema(t *testing.T) {
-	s, ts, _ := newExplainServer(t)
+	s, ts, _ := newExplainServer(t, false)
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
