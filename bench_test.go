@@ -89,7 +89,7 @@ func BenchmarkTable3Synthesis(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		records := harness.SynthesizeCorpus(loops, cegis.Options{Timeout: time.Minute}, nil)
+		records := harness.SynthesizeCorpus(loops, cegis.Options{Timeout: time.Minute}, nil, 1, nil)
 		for _, r := range records {
 			if !r.Found {
 				b.Fatalf("%s: not synthesised", r.Loop.Name)
@@ -132,7 +132,7 @@ func BenchmarkTable4VocabOpt(b *testing.B) {
 				Vocabulary:  v,
 				Timeout:     200 * time.Millisecond,
 				MaxProgSize: 7,
-			}))
+			}, 1))
 		}
 		_, bestY, _ := gp.Maximize(objective, 13, gp.Options{Evaluations: 8, Seed: int64(i)})
 		if bestY < 1 {

@@ -1,60 +1,149 @@
-// Command bench runs the solver-chain benchmark: the Figure 1 loop under the
-// vanilla.KLEE configuration with the query-cache chain (independence
-// slicing, counterexample cache, incremental solver — internal/qcache) on
-// and off, plus the summarised str.KLEE run for reference. It writes the
-// measurements to a JSON file so CI and successive PRs can compare runs.
-//
-// With -obs it instead runs the observability-overhead lane and writes
-// BENCH_5.json: ns/op on the Figure 1 program with the obs instrumentation
-// disabled vs enabled, plus a hot-path microbenchmark that gates the
-// disabled-mode cost (the batched-flush pattern every instrumented hot loop
-// uses) at <= 2% over a bare loop.
-//
-// With -merge it runs the state-merging lane and writes BENCH_6.json: the
-// Figure 1 loop enumerated at length n against the merging executor at
-// length 2n, gating that the merged double-length run stays under the
-// enumerated wall time — the n=8 -> n=16 push.
-//
-// With -persist it runs the cross-process persistent-cache lane and writes
-// BENCH_7.json: the memorylessness corpus sweep is executed twice in child
-// processes sharing one -cache-dir — cold (empty directory) then warm (the
-// cold run's persisted tier) — gating that the verdicts are bit-identical
-// and, with -check, that the warm process is strictly faster. BENCH_3's
-// in-process counterexample-cache hit rate is the ceiling this lane chases
-// across a process boundary.
+// Command bench runs the repo's benchmark lanes. Each lane is one row of the
+// lanes table: its name, the BENCH file it writes, and a body that measures
+// one workload, emits its report and, under -check, holds it to the lane's
+// gate (the obs lane gates always). The lane bodies document their workloads.
 //
 // Usage:
 //
-//	bench                      # full run, writes BENCH_3.json
-//	bench -short -check        # CI smoke: small length, assert cache wins
-//	bench -obs                 # overhead lane, writes BENCH_5.json
-//	bench -merge -check        # merging lane, writes BENCH_6.json
-//	bench -persist -check      # warm-vs-cold lane, writes BENCH_7.json
-//	bench -telemetry -check    # provenance/exposition lane, writes BENCH_10.json
+//	bench                        # cache lane, writes BENCH_3.json
+//	bench -short -check -out ""  # CI smoke: small length, print only
+//	bench -lane merge -check     # merging lane, writes BENCH_6.json
+//	bench -lane vn -out vn.json  # an explicit -out path is honoured
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
 	"stringloops/internal/cc"
 	"stringloops/internal/cir"
 	"stringloops/internal/cliflags"
-	"stringloops/internal/diskcache"
 	"stringloops/internal/engine"
 	"stringloops/internal/kleebench"
-	"stringloops/internal/loopdb"
-	"stringloops/internal/memoryless"
 	"stringloops/internal/obs"
 	"stringloops/internal/vocab"
 )
+
+// lane is one row of the benchmark table.
+type lane struct {
+	name string
+	file string // the BENCH file written when -out is left unset
+	// keepN keeps -n under -short. The merge and vn lanes run the merging
+	// executor at 2n, and below the n=8 crossover enumeration is too cheap
+	// for their comparisons to mean anything.
+	keepN bool
+	run   func(p params)
+}
+
+// lanes is the benchmark table, one row per BENCH file.
+var lanes = []lane{
+	{name: "cache", file: "BENCH_3.json", run: cacheLane},
+	{name: "obs", file: "BENCH_5.json", run: obsLane},
+	{name: "merge", file: "BENCH_6.json", keepN: true, run: mergeLane},
+	{name: "persist", file: "BENCH_7.json", run: persistLane},
+	{name: "vn", file: "BENCH_8.json", keepN: true, run: vnLane},
+	{name: "serve", file: "BENCH_9.json", run: serveLane},
+	{name: "telemetry", file: "BENCH_10.json", run: telemetryLane},
+}
+
+// params is the parsed command line a lane body runs under.
+type params struct {
+	n, reps, sample int
+	short, check    bool
+	out, cacheDir   string
+	persistChild    bool
+}
+
+func main() {
+	l, p, err := parseArgs(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
+		os.Exit(2)
+	}
+	if p.persistChild {
+		persistChildRun(p.cacheDir, p.sample)
+		return
+	}
+	l.run(p)
+}
+
+// parseArgs resolves the command line to its lane row and parameters: an
+// unset -out becomes the row's BENCH file, and -short drops to one rep and,
+// unless the row keeps it, n=6.
+func parseArgs(args []string) (lane, params, error) {
+	names := make([]string, len(lanes))
+	for i, l := range lanes {
+		names[i] = l.name
+	}
+	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
+	var p params
+	name := fs.String("lane", "cache", "benchmark lane: "+strings.Join(names, ", "))
+	fs.BoolVar(&p.short, "short", false, "CI smoke mode: shorter symbolic string, one rep")
+	fs.BoolVar(&p.check, "check", false, "exit 1 unless the lane's gate holds")
+	fs.StringVar(&p.out, "out", "", "output JSON path (default: the lane's BENCH file; empty = stdout only)")
+	fs.IntVar(&p.n, "n", 8, "symbolic string length")
+	fs.IntVar(&p.reps, "reps", 3, "repetitions per configuration")
+	fs.IntVar(&p.sample, "sample", 0, "persist lane: only the first N corpus loops (0 = all 115)")
+	fs.BoolVar(&p.persistChild, "persist-child", false, "internal: run one corpus sweep over -cache-dir and print verdicts (the persist lane's worker phase)")
+	cacheDir := cliflags.CacheDir(fs)
+	if err := fs.Parse(args); err != nil {
+		return lane{}, p, err
+	}
+	p.cacheDir = *cacheDir
+	for _, l := range lanes {
+		if l.name != *name {
+			continue
+		}
+		outSet := false
+		fs.Visit(func(f *flag.Flag) { outSet = outSet || f.Name == "out" })
+		if !outSet {
+			p.out = l.file
+		}
+		if p.short {
+			p.reps = 1
+			if !l.keepN {
+				p.n = 6
+			}
+		}
+		return l, p, nil
+	}
+	return lane{}, p, fmt.Errorf("unknown lane %q (want one of %s)", *name, strings.Join(names, ", "))
+}
+
+// emit prints the report and writes it to out (empty = print only).
+func emit(rep any, out string) {
+	enc, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		fatal("marshal: %v", err)
+	}
+	enc = append(enc, '\n')
+	fmt.Print(string(enc))
+	if out != "" {
+		if err := os.WriteFile(out, enc, 0o644); err != nil {
+			fatal("write %s: %v", out, err)
+		}
+	}
+}
+
+// header opens every report.
+type header struct {
+	Benchmark string `json:"benchmark"`
+	Loop      string `json:"loop,omitempty"`
+	GoVersion string `json:"go_version"`
+}
+
+func newHeader(benchmark, loop string) header {
+	return header{Benchmark: benchmark, Loop: loop, GoVersion: runtime.Version()}
+}
 
 // figure1Loop is the paper's running example (Figure 1): skip leading
 // whitespace.
@@ -67,8 +156,11 @@ char* loopFunction(char* line) {
   return p;
 }`
 
-// figure1Summary is the synthesised summary of figure1Loop ("ZFP \t\x00F").
-const figure1Summary = "ZFP \t\x00F"
+const (
+	figure1Name = "figure1/skip_whitespace"
+	// figure1Summary is the synthesised summary of figure1Loop.
+	figure1Summary = "ZFP \t\x00F"
+)
 
 // run is one benchmark configuration's aggregated measurement.
 type run struct {
@@ -89,143 +181,90 @@ type run struct {
 	IteFusions    int64   `json:"ite_fusions_per_op,omitempty"`
 }
 
-// report is the BENCH_3.json schema.
-type report struct {
-	Benchmark     string  `json:"benchmark"`
-	Loop          string  `json:"loop"`
-	GoVersion     string  `json:"go_version"`
+// measure runs one configuration reps times and averages the reps into a
+// row. A "vanilla" row forks through the Figure 1 loop under cfg, re-lowered
+// per rep so each rep gets a fresh interner (matching the per-pipeline cache
+// scope); a "str" row runs its summary, the Figure 3 comparison point. Paths,
+// the vn flag and the rewrite counts are vanilla-only columns.
+func measure(name, mode string, n, reps int, cfg kleebench.Config) run {
+	vanilla := mode == "vanilla"
+	r := run{Name: name, Mode: mode, QCache: cfg.QCache, Length: n, Reps: reps, Merge: cfg.Merge, VN: vanilla && !cfg.NoVN}
+	var ns, queries, conflicts, hits, groups, vnhits, fusions int64
+	for i := 0; i < reps; i++ {
+		var m kleebench.Measurement
+		if vanilla {
+			m = kleebench.VanillaWith(lower(), n, 10*time.Minute, cfg)
+		} else {
+			m = kleebench.StrWith(summary(), n, 10*time.Minute, cfg)
+		}
+		if m.TimedOut || m.Tests == 0 {
+			fatal("%s: run failed: %+v", name, m)
+		}
+		ns += int64(m.Time)
+		queries += int64(m.SolverQueries)
+		conflicts += m.Conflicts
+		hits += m.Cache.Hits()
+		groups += m.Cache.Hits() + m.Cache.Misses
+		r.Tests = m.Tests
+		if vanilla {
+			r.Paths = m.Paths
+			vnhits += m.VNHits
+			fusions += m.IteFusions
+		}
+	}
+	r.NsPerOp = ns / int64(reps)
+	r.SolverQueries = queries / int64(reps)
+	r.Conflicts = conflicts / int64(reps)
+	r.VNHits = vnhits / int64(reps)
+	r.IteFusions = fusions / int64(reps)
+	if groups > 0 {
+		r.CacheHitRate = float64(hits) / float64(groups)
+	}
+	return r
+}
+
+// cacheReport is the BENCH_3.json schema.
+type cacheReport struct {
+	header
 	Runs          []run   `json:"runs"`
 	ConflictRatio float64 `json:"conflict_ratio_off_over_on"`
 	NsRatio       float64 `json:"ns_ratio_off_over_on"`
 }
 
-func main() {
-	var (
-		short = flag.Bool("short", false, "CI smoke mode: shorter symbolic string, one rep")
-		check = flag.Bool("check", false, "exit 1 unless cache-on beats cache-off (>=1.5x fewer conflicts or >=30% lower ns/op) with a non-zero hit rate")
-		out   = flag.String("out", "BENCH_3.json", "output JSON path (empty = stdout only)")
-		n     = flag.Int("n", 8, "symbolic string length")
-		reps  = flag.Int("reps", 3, "repetitions per configuration")
-		obsL  = flag.Bool("obs", false, "run the observability-overhead lane and write BENCH_5.json instead")
-		mrg   = flag.Bool("merge", false, "run the state-merging lane and write BENCH_6.json instead")
-		vnL   = flag.Bool("vn", false, "run the value-numbering lane and write BENCH_8.json instead")
-
-		serve   = flag.Bool("serve", false, "run the daemon load lane and write BENCH_9.json instead")
-		telem   = flag.Bool("telemetry", false, "run the telemetry lane (provenance, exposition, trace merge) and write BENCH_10.json instead")
-		persist = flag.Bool("persist", false, "run the cross-process persistent-cache lane and write BENCH_7.json instead")
-		sample  = flag.Int("sample", 0, "with -persist: only the first N corpus loops (0 = all 115)")
-		child   = flag.Bool("persist-child", false, "internal: run one corpus sweep over -cache-dir and print verdicts (the -persist lane's worker phase)")
-	)
-	cacheDir := cliflags.CacheDir(nil)
-	flag.Parse()
-	if *child {
-		persistChildRun(*cacheDir, *sample)
+// cacheLane measures the query-cache chain: the vanilla run with the cache on
+// and off, plus the str run. With check, cache-on must win (>=1.5x fewer
+// conflicts or >=1.3x lower ns/op) with a non-zero hit rate.
+func cacheLane(p params) {
+	on := measure("SolverCacheOn", "vanilla", p.n, p.reps, kleebench.Config{QCache: true})
+	off := measure("SolverCacheOff", "vanilla", p.n, p.reps, kleebench.Config{QCache: false})
+	str := measure("StrCacheOn", "str", p.n, p.reps, kleebench.Config{QCache: true})
+	rep := cacheReport{
+		header:        newHeader("BenchmarkSolverCache", figure1Name),
+		Runs:          []run{on, off, str},
+		ConflictRatio: ratio(off.Conflicts, on.Conflicts),
+		NsRatio:       ratio(off.NsPerOp, on.NsPerOp),
+	}
+	emit(rep, p.out)
+	if !p.check {
 		return
 	}
-	if *short {
-		*reps = 1
-		// The merge and vn lanes keep n=8: their gates run the merging
-		// executor at 2n, and below the n=8 crossover enumeration is too
-		// cheap for the comparison to mean anything.
-		if !*mrg && !*vnL {
-			*n = 6
-		}
+	if on.CacheHitRate <= 0 {
+		fatal("check failed: cache hit rate is zero")
 	}
-	if *obsL {
-		if *out == "BENCH_3.json" {
-			*out = "BENCH_5.json"
-		}
-		obsLane(*n, *reps, *short, *out)
-		return
+	if rep.ConflictRatio < 1.5 && rep.NsRatio < 1.3 {
+		fatal("check failed: conflicts off/on = %.2f (< 1.5) and ns off/on = %.2f (< 1.3)",
+			rep.ConflictRatio, rep.NsRatio)
 	}
-	if *mrg {
-		if *out == "BENCH_3.json" {
-			*out = "BENCH_6.json"
-		}
-		mergeLane(*n, *reps, *check, *out)
-		return
-	}
-	if *vnL {
-		if *out == "BENCH_3.json" {
-			*out = "BENCH_8.json"
-		}
-		vnLane(*n, *reps, *check, *out)
-		return
-	}
-	if *persist {
-		if *out == "BENCH_3.json" {
-			*out = "BENCH_7.json"
-		}
-		persistLane(*sample, *short, *check, *out, *cacheDir)
-		return
-	}
-	if *serve {
-		if *out == "BENCH_3.json" {
-			*out = "BENCH_9.json"
-		}
-		serveLane(*short, *check, *out)
-		return
-	}
-	if *telem {
-		if *out == "BENCH_3.json" {
-			*out = "BENCH_10.json"
-		}
-		telemetryLane(*short, *check, *out)
-		return
-	}
-
-	f := lower()
-	prog, err := vocab.Decode(figure1Summary)
-	if err != nil {
-		fatal("decode summary: %v", err)
-	}
-
-	rep := report{
-		Benchmark: "BenchmarkSolverCache",
-		Loop:      "figure1/skip_whitespace",
-		GoVersion: runtime.Version(),
-	}
-	on := vanillaRun("SolverCacheOn", f, *n, *reps, kleebench.Config{QCache: true})
-	off := vanillaRun("SolverCacheOff", f, *n, *reps, kleebench.Config{QCache: false})
-	rep.Runs = append(rep.Runs, on, off, strRun("StrCacheOn", prog, *n, *reps))
-	rep.ConflictRatio = ratio(off.Conflicts, on.Conflicts)
-	rep.NsRatio = ratio(off.NsPerOp, on.NsPerOp)
-
-	enc, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal("marshal: %v", err)
-	}
-	enc = append(enc, '\n')
-	fmt.Print(string(enc))
-	if *out != "" {
-		if err := os.WriteFile(*out, enc, 0o644); err != nil {
-			fatal("write %s: %v", *out, err)
-		}
-	}
-
-	if *check {
-		fewerConflicts := rep.ConflictRatio >= 1.5
-		lowerNs := rep.NsRatio >= 1.3
-		if on.CacheHitRate <= 0 {
-			fatal("check failed: cache hit rate is zero")
-		}
-		if !fewerConflicts && !lowerNs {
-			fatal("check failed: conflicts off/on = %.2f (< 1.5) and ns off/on = %.2f (< 1.3)",
-				rep.ConflictRatio, rep.NsRatio)
-		}
-		fmt.Printf("check ok: conflicts off/on = %.2f, ns off/on = %.2f, hit rate = %.3f\n",
-			rep.ConflictRatio, rep.NsRatio, on.CacheHitRate)
-	}
+	fmt.Printf("check ok: conflicts off/on = %.2f, ns off/on = %.2f, hit rate = %.3f\n",
+		rep.ConflictRatio, rep.NsRatio, on.CacheHitRate)
 }
 
 // mergeReport is the BENCH_6.json schema: the enumerating executor at the
 // baseline length against the merging executor at double the length, both
 // through the query-cache chain.
 type mergeReport struct {
-	Benchmark string `json:"benchmark"`
-	Loop      string `json:"loop"`
-	GoVersion string `json:"go_version"`
-	Runs      []run  `json:"runs"`
+	header
+	Runs []run `json:"runs"`
 	// NsRatioEnumOverMerged compares the enumerated baseline-length run to
 	// the merged double-length run; >= 1 means merging absorbed a doubling
 	// of the symbolic string for free.
@@ -238,53 +277,38 @@ type mergeReport struct {
 // mergeLane measures state merging: enumeration at n vs merging at n and
 // 2n. With check, the merged 2n run must stay under the enumerated n wall
 // time (the Figure 1 n=8 -> n=16 push).
-func mergeLane(n, reps int, check bool, out string) {
-	f := lower()
-	enum := vanillaRun("EnumN", f, n, reps, kleebench.Config{QCache: true})
-	mergedSame := vanillaRun("MergeN", f, n, reps, kleebench.Config{QCache: true, Merge: true})
-	merged2x := vanillaRun("MergeTwoN", f, 2*n, reps, kleebench.Config{QCache: true, Merge: true})
-
+func mergeLane(p params) {
+	n := p.n
+	enum := measure("EnumN", "vanilla", n, p.reps, kleebench.Config{QCache: true})
+	mergedSame := measure("MergeN", "vanilla", n, p.reps, kleebench.Config{QCache: true, Merge: true})
+	merged2x := measure("MergeTwoN", "vanilla", 2*n, p.reps, kleebench.Config{QCache: true, Merge: true})
 	rep := mergeReport{
-		Benchmark:             "BenchmarkStateMerging",
-		Loop:                  "figure1/skip_whitespace",
-		GoVersion:             runtime.Version(),
+		header:                newHeader("BenchmarkStateMerging", figure1Name),
 		Runs:                  []run{enum, mergedSame, merged2x},
 		NsRatioEnumOverMerged: ratio(enum.NsPerOp, merged2x.NsPerOp),
 		PathRatio:             ratio(int64(enum.Paths), int64(mergedSame.Paths)),
 	}
-
-	enc, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal("marshal: %v", err)
+	emit(rep, p.out)
+	if !p.check {
+		return
 	}
-	enc = append(enc, '\n')
-	fmt.Print(string(enc))
-	if out != "" {
-		if err := os.WriteFile(out, enc, 0o644); err != nil {
-			fatal("write %s: %v", out, err)
-		}
+	if rep.NsRatioEnumOverMerged < 1 {
+		fatal("merge check failed: merged n=%d took %.2fx the enumerated n=%d wall time",
+			2*n, 1/rep.NsRatioEnumOverMerged, n)
 	}
-	if check {
-		if rep.NsRatioEnumOverMerged < 1 {
-			fatal("merge check failed: merged n=%d took %.2fx the enumerated n=%d wall time",
-				2*n, 1/rep.NsRatioEnumOverMerged, n)
-		}
-		if rep.PathRatio < 1 {
-			fatal("merge check failed: merged path count exceeds enumerated at n=%d", n)
-		}
-		fmt.Printf("merge check ok: merged n=%d at %.2fx under enumerated n=%d; same-length path ratio %.1fx\n",
-			2*n, rep.NsRatioEnumOverMerged, n, rep.PathRatio)
+	if rep.PathRatio < 1 {
+		fatal("merge check failed: merged path count exceeds enumerated at n=%d", n)
 	}
+	fmt.Printf("merge check ok: merged n=%d at %.2fx under enumerated n=%d; same-length path ratio %.1fx\n",
+		2*n, rep.NsRatioEnumOverMerged, n, rep.PathRatio)
 }
 
 // vnReport is the BENCH_8.json schema: the merged double-length run (the
 // BENCH_6 configuration) with the value-numbering rewrite layer off against
 // the same run with it on.
 type vnReport struct {
-	Benchmark string `json:"benchmark"`
-	Loop      string `json:"loop"`
-	GoVersion string `json:"go_version"`
-	Runs      []run  `json:"runs"`
+	header
+	Runs []run `json:"runs"`
 	// NsRatioOffOverOn and QueryRatioOffOverOn compare the vn-off run to the
 	// vn-on run at merged length 2n; the gate passes when either the wall
 	// time drops >= 1.5x or the solver queries drop >= 2x.
@@ -297,269 +321,35 @@ type vnReport struct {
 // and ite-valued cursors the rewrites target. With check, vn-on must either
 // cut wall time >= 1.5x or solver queries >= 2x against vn-off, and must
 // actually have exercised the memo table (non-zero hits).
-func vnLane(n, reps int, check bool, out string) {
-	f := lower()
-	off := vanillaRun("MergeTwoNVnOff", f, 2*n, reps, kleebench.Config{QCache: true, Merge: true, NoVN: true})
-	on := vanillaRun("MergeTwoNVn", f, 2*n, reps, kleebench.Config{QCache: true, Merge: true})
-
+func vnLane(p params) {
+	n2 := 2 * p.n
+	off := measure("MergeTwoNVnOff", "vanilla", n2, p.reps, kleebench.Config{QCache: true, Merge: true, NoVN: true})
+	on := measure("MergeTwoNVn", "vanilla", n2, p.reps, kleebench.Config{QCache: true, Merge: true})
 	rep := vnReport{
-		Benchmark:           "BenchmarkValueNumbering",
-		Loop:                "figure1/skip_whitespace",
-		GoVersion:           runtime.Version(),
+		header:              newHeader("BenchmarkValueNumbering", figure1Name),
 		Runs:                []run{off, on},
 		NsRatioOffOverOn:    ratio(off.NsPerOp, on.NsPerOp),
 		QueryRatioOffOverOn: ratio(off.SolverQueries, on.SolverQueries),
 	}
-
-	enc, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal("marshal: %v", err)
+	emit(rep, p.out)
+	if !p.check {
+		return
 	}
-	enc = append(enc, '\n')
-	fmt.Print(string(enc))
-	if out != "" {
-		if err := os.WriteFile(out, enc, 0o644); err != nil {
-			fatal("write %s: %v", out, err)
-		}
+	if on.VNHits == 0 {
+		fatal("vn check failed: value-numbering memo recorded zero hits")
 	}
-	if check {
-		if on.VNHits == 0 {
-			fatal("vn check failed: value-numbering memo recorded zero hits")
-		}
-		if rep.NsRatioOffOverOn < 1.5 && rep.QueryRatioOffOverOn < 2.0 {
-			fatal("vn check failed: ns off/on = %.2f (< 1.5) and queries off/on = %.2f (< 2.0) at merged n=%d",
-				rep.NsRatioOffOverOn, rep.QueryRatioOffOverOn, 2*n)
-		}
-		fmt.Printf("vn check ok: ns off/on = %.2f, queries off/on = %.2f, vn hits %d, ite rewrites %d at merged n=%d\n",
-			rep.NsRatioOffOverOn, rep.QueryRatioOffOverOn, on.VNHits, on.IteFusions, 2*n)
+	if rep.NsRatioOffOverOn < 1.5 && rep.QueryRatioOffOverOn < 2.0 {
+		fatal("vn check failed: ns off/on = %.2f (< 1.5) and queries off/on = %.2f (< 2.0) at merged n=%d",
+			rep.NsRatioOffOverOn, rep.QueryRatioOffOverOn, n2)
 	}
-}
-
-// persistChildMaxLen is the bounded-check string length of the persist
-// lane's workload: one above the paper's §3.3 minimum of 3, so the check is
-// strictly stronger (verdicts are unchanged — the small-model theorems make
-// length 3 sufficient) while the cold sweep does enough solver work for the
-// cross-process speedup to be about the cache rather than process startup.
-const persistChildMaxLen = 4
-
-// persistChildRun is the -persist lane's hidden worker phase: one process,
-// one sequential memorylessness sweep over the corpus through the persistent
-// tier at -cache-dir, verdicts and counters printed to stdout in the line
-// format persistChildExec parses. The parent runs it twice over the same
-// directory; whether this process is the cold or the warm one is entirely a
-// property of what the directory holds.
-func persistChildRun(dir string, sample int) {
-	if dir == "" {
-		fatal("persist child: -cache-dir is required")
-	}
-	tier, err := diskcache.Open(dir, nil)
-	if err != nil {
-		fatal("persist child: %v", err)
-	}
-	loops := loopdb.Corpus()
-	if sample > 0 && sample < len(loops) {
-		loops = loops[:sample]
-	}
-	budget := engine.NewBudget(nil, engine.Limits{})
-	start := time.Now()
-	for _, l := range loops {
-		f, err := l.Lower()
-		if err != nil {
-			fatal("persist child: lower %s: %v", l.Name, err)
-		}
-		r := memoryless.VerifyWith(f, memoryless.VerifyOptions{
-			MaxLen: persistChildMaxLen, Budget: budget,
-			Disk: tier.QueryStore(), Memo: tier.MemoStore(),
-		})
-		if r.Memoryless {
-			fmt.Printf("verdict\t%s\tmemoryless\t%s\t%d\n", l.Name, r.Spec.Dir, r.Spec.Miss)
-		} else {
-			fmt.Printf("verdict\t%s\trejected\t%s\n", l.Name, r.Reason)
-		}
-	}
-	elapsed := time.Since(start)
-	if err := tier.Close(); err != nil {
-		fatal("persist child: cache persist: %v", err)
-	}
-	fmt.Printf("done\t%d\t%d\t%d\t%d\n", elapsed.Nanoseconds(),
-		budget.DiskHits(), budget.DiskMisses(), budget.DiskEvictions())
-}
-
-// childStats is one worker process's parsed output.
-type childStats struct {
-	verdicts            []string
-	ns                  int64 // sweep time as measured inside the child
-	wallNs              int64 // full process wall time, spawn included
-	hits, misses, evics int64
-}
-
-// persistChildExec re-executes this binary as a -persist-child worker over
-// dir and parses its stdout.
-func persistChildExec(dir string, sample int) childStats {
-	exe, err := os.Executable()
-	if err != nil {
-		fatal("persist: %v", err)
-	}
-	cmd := exec.Command(exe, "-persist-child", "-cache-dir", dir, "-sample", strconv.Itoa(sample))
-	cmd.Stderr = os.Stderr
-	wallStart := time.Now()
-	raw, err := cmd.Output()
-	wall := time.Since(wallStart)
-	if err != nil {
-		fatal("persist: child failed: %v", err)
-	}
-	st := childStats{wallNs: int64(wall)}
-	for _, line := range strings.Split(string(raw), "\n") {
-		switch {
-		case strings.HasPrefix(line, "verdict\t"):
-			st.verdicts = append(st.verdicts, line)
-		case strings.HasPrefix(line, "done\t"):
-			fields := strings.Split(line, "\t")
-			if len(fields) != 5 {
-				fatal("persist: malformed child trailer %q", line)
-			}
-			nums := make([]int64, 4)
-			for i, f := range fields[1:] {
-				v, err := strconv.ParseInt(f, 10, 64)
-				if err != nil {
-					fatal("persist: malformed child trailer %q: %v", line, err)
-				}
-				nums[i] = v
-			}
-			st.ns, st.hits, st.misses, st.evics = nums[0], nums[1], nums[2], nums[3]
-		}
-	}
-	if st.ns == 0 || len(st.verdicts) == 0 {
-		fatal("persist: child produced no measurements")
-	}
-	return st
-}
-
-// persistReport is the BENCH_7.json schema: one corpus sweep by a cold
-// process (empty cache directory) and one by a warm process (the cold run's
-// persisted tier), with verdict identity and the cross-process speedup.
-type persistReport struct {
-	Benchmark string `json:"benchmark"`
-	Corpus    string `json:"corpus"`
-	GoVersion string `json:"go_version"`
-	Loops     int    `json:"loops"`
-	MaxLen    int    `json:"max_len"`
-	// ColdNs/WarmNs are sweep times measured inside each child;
-	// the *WallNs pair includes process spawn and exit.
-	ColdNs         int64 `json:"cold_ns"`
-	WarmNs         int64 `json:"warm_ns"`
-	ColdWallNs     int64 `json:"cold_wall_ns"`
-	WarmWallNs     int64 `json:"warm_wall_ns"`
-	ColdDiskHits   int64 `json:"cold_disk_hits"`
-	ColdDiskMisses int64 `json:"cold_disk_misses"`
-	WarmDiskHits   int64 `json:"warm_disk_hits"`
-	WarmDiskMisses int64 `json:"warm_disk_misses"`
-	DiskEvictions  int64 `json:"disk_evictions"`
-	Memoryless     int   `json:"memoryless"`
-	// VerdictsIdentical is the correctness half of the lane: the warm
-	// process must reproduce the cold verdicts byte for byte. A mismatch is
-	// fatal even without -check.
-	VerdictsIdentical   bool    `json:"verdicts_identical"`
-	NsRatioColdOverWarm float64 `json:"ns_ratio_cold_over_warm"`
-}
-
-// persistLane measures the persistent tier across a process boundary: two
-// child sweeps over one fresh cache directory, cold then warm. Verdict
-// mismatch always fails; -check additionally requires the warm process to be
-// strictly faster.
-func persistLane(sample int, short, check bool, out, cacheBase string) {
-	if short && sample == 0 {
-		sample = 30
-	}
-	// A fresh directory (under -cache-dir when given, the system temp dir
-	// otherwise) guarantees the first child really is cold.
-	dir, err := os.MkdirTemp(cacheBase, "bench-persist-*")
-	if err != nil {
-		fatal("persist: %v", err)
-	}
-	defer os.RemoveAll(dir)
-
-	cold := persistChildExec(dir, sample)
-	warm := persistChildExec(dir, sample)
-
-	identical := len(cold.verdicts) == len(warm.verdicts)
-	if identical {
-		for i := range cold.verdicts {
-			if cold.verdicts[i] != warm.verdicts[i] {
-				identical = false
-				break
-			}
-		}
-	}
-	memless := 0
-	for _, v := range cold.verdicts {
-		if strings.Contains(v, "\tmemoryless\t") {
-			memless++
-		}
-	}
-
-	rep := persistReport{
-		Benchmark:           "BenchmarkPersistentCache",
-		Corpus:              "loopdb/curated",
-		GoVersion:           runtime.Version(),
-		Loops:               len(cold.verdicts),
-		MaxLen:              persistChildMaxLen,
-		ColdNs:              cold.ns,
-		WarmNs:              warm.ns,
-		ColdWallNs:          cold.wallNs,
-		WarmWallNs:          warm.wallNs,
-		ColdDiskHits:        cold.hits,
-		ColdDiskMisses:      cold.misses,
-		WarmDiskHits:        warm.hits,
-		WarmDiskMisses:      warm.misses,
-		DiskEvictions:       cold.evics + warm.evics,
-		Memoryless:          memless,
-		VerdictsIdentical:   identical,
-		NsRatioColdOverWarm: ratio(cold.ns, warm.ns),
-	}
-
-	enc, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal("marshal: %v", err)
-	}
-	enc = append(enc, '\n')
-	fmt.Print(string(enc))
-	if out != "" {
-		if err := os.WriteFile(out, enc, 0o644); err != nil {
-			fatal("write %s: %v", out, err)
-		}
-	}
-
-	if !identical {
-		for i := range cold.verdicts {
-			if i < len(warm.verdicts) && cold.verdicts[i] != warm.verdicts[i] {
-				fmt.Fprintf(os.Stderr, "persist: first divergence:\n  cold: %s\n  warm: %s\n",
-					cold.verdicts[i], warm.verdicts[i])
-				break
-			}
-		}
-		fatal("persist check failed: warm verdicts differ from cold (%d vs %d loops)",
-			len(cold.verdicts), len(warm.verdicts))
-	}
-	if check {
-		if warm.ns >= cold.ns {
-			fatal("persist check failed: warm sweep (%v) not faster than cold (%v)",
-				time.Duration(warm.ns), time.Duration(cold.ns))
-		}
-		if warm.hits == 0 {
-			fatal("persist check failed: warm process recorded zero disk hits")
-		}
-		fmt.Printf("persist check ok: cold/warm = %.2fx over %d loops, warm disk hits %d\n",
-			rep.NsRatioColdOverWarm, rep.Loops, warm.hits)
-	}
+	fmt.Printf("vn check ok: ns off/on = %.2f, queries off/on = %.2f, vn hits %d, ite rewrites %d at merged n=%d\n",
+		rep.NsRatioOffOverOn, rep.QueryRatioOffOverOn, on.VNHits, on.IteFusions, n2)
 }
 
 // obsReport is the BENCH_5.json schema: the Figure 1 macro runs with
 // instrumentation disabled vs enabled, and the gated hot-path micro numbers.
 type obsReport struct {
-	Benchmark string `json:"benchmark"`
-	Loop      string `json:"loop"`
-	GoVersion string `json:"go_version"`
+	header
 	// Runs holds the macro measurements: obs disabled (budget without
 	// handles — the default every caller gets) vs enabled (tracer + metrics
 	// threaded via context).
@@ -582,20 +372,14 @@ type obsReport struct {
 // obsLane measures the observability instrumentation: macro ns/op on the
 // Figure 1 vanilla run with obs off vs on, and the micro hot-path gate.
 // Exits non-zero when the disabled-mode micro overhead exceeds 2%.
-func obsLane(n, reps int, short bool, out string) {
-	f := lower()
-	disabled := vanillaRun("ObsDisabled", f, n, reps, kleebench.Config{QCache: true})
-	tr, m := obs.New(), obs.NewMetrics()
-	enabled := vanillaRun("ObsEnabled", f, n, reps, kleebench.Config{
+func obsLane(p params) {
+	disabled := measure("ObsDisabled", "vanilla", p.n, p.reps, kleebench.Config{QCache: true})
+	enabled := measure("ObsEnabled", "vanilla", p.n, p.reps, kleebench.Config{
 		QCache: true,
-		Ctx:    obs.NewContext(nil, tr, m),
+		Ctx:    obs.NewContext(nil, obs.New(), obs.NewMetrics()),
 	})
-	enabled.Name = "ObsEnabled"
 
-	iters := 50_000_000
-	if short {
-		iters = 5_000_000
-	}
+	iters := microIters(p.short)
 	// One flush per 256 hot iterations is still far more frequent than the
 	// real layers (sat flushes once per SolveAssuming, symex once per
 	// scheduled segment — thousands of iterations each).
@@ -610,9 +394,7 @@ func obsLane(n, reps int, short bool, out string) {
 	})
 
 	rep := obsReport{
-		Benchmark:                  "BenchmarkObsOverhead",
-		Loop:                       "figure1/skip_whitespace",
-		GoVersion:                  runtime.Version(),
+		header:                     newHeader("BenchmarkObsOverhead", figure1Name),
 		Runs:                       []run{disabled, enabled},
 		NsRatioEnabledOverDisabled: ratio(enabled.NsPerOp, disabled.NsPerOp),
 		MicroIters:                 iters,
@@ -623,24 +405,21 @@ func obsLane(n, reps int, short bool, out string) {
 		DisabledOverheadPct:        100 * (float64(disabledNs)/float64(bareNs) - 1),
 		DisabledOverheadGate:       2.0,
 	}
-
-	enc, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal("marshal: %v", err)
-	}
-	enc = append(enc, '\n')
-	fmt.Print(string(enc))
-	if out != "" {
-		if err := os.WriteFile(out, enc, 0o644); err != nil {
-			fatal("write %s: %v", out, err)
-		}
-	}
+	emit(rep, p.out)
 	if rep.DisabledOverheadPct > rep.DisabledOverheadGate {
 		fatal("obs check failed: disabled-mode hot-path overhead %.2f%% > %.1f%%",
 			rep.DisabledOverheadPct, rep.DisabledOverheadGate)
 	}
 	fmt.Printf("obs check ok: disabled-mode hot-path overhead %.2f%% (gate %.1f%%), enabled/disabled macro ns ratio %.2f\n",
 		rep.DisabledOverheadPct, rep.DisabledOverheadGate, rep.NsRatioEnabledOverDisabled)
+}
+
+// microIters is the hot-path microbenchmarks' loop length.
+func microIters(short bool) int {
+	if short {
+		return 5_000_000
+	}
+	return 50_000_000
 }
 
 // hotPathBare is the reference: batch-sized segments of data-dependent work
@@ -709,63 +488,12 @@ func lower() *cir.Func {
 	return f
 }
 
-// vanillaRun measures the forking symbolic executor with per-fork
-// feasibility checks, averaging over reps. The loop is re-lowered per rep so
-// each rep gets a fresh interner (matching the per-pipeline cache scope).
-func vanillaRun(name string, f *cir.Func, n, reps int, cfg kleebench.Config) run {
-	r := run{Name: name, Mode: "vanilla", QCache: cfg.QCache, Length: n, Reps: reps, Merge: cfg.Merge, VN: !cfg.NoVN}
-	var ns, queries, conflicts, hits, groups, vnhits, fusions int64
-	for i := 0; i < reps; i++ {
-		f = lower()
-		m := kleebench.VanillaWith(f, n, 10*time.Minute, cfg)
-		if m.TimedOut || m.Tests == 0 {
-			fatal("%s: run failed: %+v", name, m)
-		}
-		ns += int64(m.Time)
-		queries += int64(m.SolverQueries)
-		conflicts += m.Conflicts
-		hits += m.Cache.Hits()
-		groups += m.Cache.Hits() + m.Cache.Misses
-		vnhits += m.VNHits
-		fusions += m.IteFusions
-		r.Tests = m.Tests
-		r.Paths = m.Paths
+func summary() vocab.Program {
+	prog, err := vocab.Decode(figure1Summary)
+	if err != nil {
+		fatal("decode summary: %v", err)
 	}
-	r.NsPerOp = ns / int64(reps)
-	r.SolverQueries = queries / int64(reps)
-	r.Conflicts = conflicts / int64(reps)
-	r.VNHits = vnhits / int64(reps)
-	r.IteFusions = fusions / int64(reps)
-	if groups > 0 {
-		r.CacheHitRate = float64(hits) / float64(groups)
-	}
-	return r
-}
-
-// strRun measures the summarised configuration for reference (the Figure 3
-// comparison point).
-func strRun(name string, prog vocab.Program, n, reps int) run {
-	r := run{Name: name, Mode: "str", QCache: true, Length: n, Reps: reps}
-	var ns, queries, conflicts, hits, groups int64
-	for i := 0; i < reps; i++ {
-		m := kleebench.Str(prog, n, 10*time.Minute)
-		if m.TimedOut || m.Tests == 0 {
-			fatal("%s: run failed: %+v", name, m)
-		}
-		ns += int64(m.Time)
-		queries += int64(m.SolverQueries)
-		conflicts += m.Conflicts
-		hits += m.Cache.Hits()
-		groups += m.Cache.Hits() + m.Cache.Misses
-		r.Tests = m.Tests
-	}
-	r.NsPerOp = ns / int64(reps)
-	r.SolverQueries = queries / int64(reps)
-	r.Conflicts = conflicts / int64(reps)
-	if groups > 0 {
-		r.CacheHitRate = float64(hits) / float64(groups)
-	}
-	return r
+	return prog
 }
 
 func ratio(off, on int64) float64 {

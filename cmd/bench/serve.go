@@ -25,11 +25,10 @@ import (
 // concurrent load over the corpus — latency percentiles, shed rate, the
 // degradation-rung histogram, and the drain-under-load measurement.
 type serveReport struct {
-	Benchmark   string `json:"benchmark"`
-	GoVersion   string `json:"go_version"`
-	MaxInFlight int    `json:"max_inflight"`
-	QueueDepth  int    `json:"queue_depth"`
-	Concurrency int    `json:"concurrency"`
+	header
+	MaxInFlight int `json:"max_inflight"`
+	QueueDepth  int `json:"queue_depth"`
+	Concurrency int `json:"concurrency"`
 
 	Requests     int64 `json:"requests"`      // load-phase requests fired
 	Answered     int64 `json:"answered"`      // responses received (any status)
@@ -53,8 +52,47 @@ type serveReport struct {
 	GoroutineLeaks     int   `json:"goroutine_leaks"`
 }
 
-// benchTB adapts leakcheck's TB to the harness: failures print and flip
-// a flag the -check gate reads.
+// daemon is an in-process loopsumd: the service handler serving a loopback
+// listener, with an HTTP client pooling up to idleConns connections to it.
+type daemon struct {
+	srv    *service.Server
+	http   *http.Server
+	served chan error
+	base   string
+	hc     *http.Client
+}
+
+func startDaemon(cfg service.Config, idleConns int) *daemon {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		fatal("daemon listen: %v", err)
+	}
+	srv := service.New(cfg)
+	d := &daemon{
+		srv:    srv,
+		http:   &http.Server{Handler: srv.Handler()},
+		served: make(chan error, 1),
+		base:   "http://" + ln.Addr().String(),
+		hc:     &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: idleConns}},
+	}
+	go func() { d.served <- d.http.Serve(ln) }()
+	return d
+}
+
+// stop shuts the listener down, closes the client's idle connections and
+// returns how many goroutines outlive the daemon.
+func (d *daemon) stop() (leaks int) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	d.http.Shutdown(ctx)
+	cancel()
+	<-d.served
+	d.hc.CloseIdleConnections()
+	tb := &benchTB{}
+	leakcheck.CheckWithin(tb, 10*time.Second)
+	return tb.leaks
+}
+
+// benchTB adapts leakcheck's TB to the harness: failures print and count.
 type benchTB struct{ leaks int }
 
 func (b *benchTB) Helper() {}
@@ -68,46 +106,37 @@ func (b *benchTB) Errorf(format string, args ...any) {
 // second wave of clients is still firing — the SIGTERM-under-full-load
 // scenario — and gates: every request answered, drain inside its
 // deadline, zero goroutine leaks.
-func serveLane(short, check bool, out string) {
+func serveLane(p params) {
 	const concurrency = 200
 	requests := int64(1500)
-	if short {
+	if p.short {
 		requests = 600
 	}
+	// The global caps scale one request's worth of work by the in-flight cap.
+	k := int64(runtime.GOMAXPROCS(0))
 	cfg := service.Config{
-		MaxInFlight:  runtime.GOMAXPROCS(0),
+		MaxInFlight:  int(k),
 		QueueDepth:   256,
-		GlobalLimits: engine.Limits{Conflicts: 5000, Forks: 20000, Nodes: 500000},
+		GlobalLimits: engine.Limits{Conflicts: 5000 * k, Forks: 20000 * k, Nodes: 500000 * k},
 		Metrics:      obs.NewMetrics(),
 	}
-	cfg.GlobalLimits.Conflicts *= int64(cfg.MaxInFlight)
-	cfg.GlobalLimits.Forks *= int64(cfg.MaxInFlight)
-	cfg.GlobalLimits.Nodes *= int64(cfg.MaxInFlight)
-	srv := service.New(cfg)
+	d := startDaemon(cfg, concurrency)
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fatal("serve lane listen: %v", err)
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	httpDone := make(chan error, 1)
-	go func() { httpDone <- httpSrv.Serve(ln) }()
-	base := "http://" + ln.Addr().String()
-
-	loops := loopdb.Corpus()
-	bodies := make([][]byte, 0, 12)
-	for _, l := range loops[:12] {
-		b, err := json.Marshal(service.Request{Source: l.Source, Func: l.FuncName})
+	// The corpus head, as client requests for the load phase and as raw
+	// bodies for the drain wave.
+	reqs := make([]service.Request, 12)
+	bodies := make([]string, len(reqs))
+	for i, l := range loopdb.Corpus()[:len(reqs)] {
+		reqs[i] = service.Request{Source: l.Source, Func: l.FuncName}
+		b, err := json.Marshal(reqs[i])
 		if err != nil {
 			fatal("serve lane request encode: %v", err)
 		}
-		bodies = append(bodies, b)
+		bodies[i] = string(b)
 	}
-	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: concurrency}}
 
 	rep := serveReport{
-		Benchmark:   "BenchmarkServeDaemon",
-		GoVersion:   runtime.Version(),
+		header:      newHeader("BenchmarkServeDaemon", ""),
 		MaxInFlight: cfg.MaxInFlight,
 		QueueDepth:  cfg.QueueDepth,
 		Concurrency: concurrency,
@@ -118,10 +147,6 @@ func serveLane(short, check bool, out string) {
 	// eventually completes.
 	var next, outstanding, highWater, answered, completed, retries atomic.Int64
 	latencies := make([][]time.Duration, concurrency)
-	reqs := make([]service.Request, 0, 12)
-	for _, l := range loops[:12] {
-		reqs = append(reqs, service.Request{Source: l.Source, Func: l.FuncName})
-	}
 	var wg sync.WaitGroup
 	for w := 0; w < concurrency; w++ {
 		wg.Add(1)
@@ -129,7 +154,7 @@ func serveLane(short, check bool, out string) {
 			defer wg.Done()
 			lat := make([]time.Duration, 0, int(requests)/concurrency+1)
 			cl := &service.Client{
-				Base: base, HTTP: hc, MaxRetries: 8, Seed: uint64(w + 1),
+				Base: d.base, HTTP: d.hc, MaxRetries: 8, Seed: uint64(w + 1),
 				ClientID: fmt.Sprintf("bench-%d", w%16),
 				Sleep: func(ctx context.Context, d time.Duration) error {
 					retries.Add(1)
@@ -194,8 +219,8 @@ func serveLane(short, check bool, out string) {
 				default:
 				}
 				drainFired.Add(1)
-				resp, err := hc.Post(base+"/summarize", "application/json",
-					strings.NewReader(string(bodies[w%len(bodies)])))
+				resp, err := d.hc.Post(d.base+"/summarize", "application/json",
+					strings.NewReader(bodies[w%len(bodies)]))
 				if err != nil {
 					continue // a broken connection stays unanswered
 				}
@@ -208,7 +233,7 @@ func serveLane(short, check bool, out string) {
 	drainDeadline := 60 * time.Second
 	dctx, dcancel := context.WithTimeout(context.Background(), drainDeadline)
 	drainStart := time.Now()
-	drainErr := srv.Drain(dctx)
+	drainErr := d.srv.Drain(dctx)
 	rep.DrainNs = int64(time.Since(drainStart))
 	dcancel()
 	close(stop)
@@ -216,12 +241,7 @@ func serveLane(short, check bool, out string) {
 	rep.DrainPhaseRequests = drainFired.Load()
 	rep.DrainPhaseAnswered = drainAnswered.Load()
 	rep.DrainClean = drainErr == nil
-
-	sctx, scancel := context.WithTimeout(context.Background(), 10*time.Second)
-	httpSrv.Shutdown(sctx)
-	scancel()
-	<-httpDone
-	hc.CloseIdleConnections()
+	rep.GoroutineLeaks = d.stop()
 
 	snap := cfg.Metrics.Snapshot()
 	rep.RungHistogram = map[string]int64{}
@@ -241,23 +261,8 @@ func serveLane(short, check bool, out string) {
 	}
 	rep.ReconcileDrift = snap.Counters[service.MSvcReconcileDrift]
 
-	tb := &benchTB{}
-	leakcheck.CheckWithin(tb, 10*time.Second)
-	rep.GoroutineLeaks = tb.leaks
-
-	enc, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal("serve lane marshal: %v", err)
-	}
-	enc = append(enc, '\n')
-	fmt.Print(string(enc))
-	if out != "" {
-		if err := os.WriteFile(out, enc, 0o644); err != nil {
-			fatal("write %s: %v", out, err)
-		}
-	}
-
-	if check {
+	emit(rep, p.out)
+	if p.check {
 		if rep.Answered != rep.Requests {
 			fatal("serve check failed: %d of %d load requests answered", rep.Answered, rep.Requests)
 		}

@@ -6,15 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"os"
 	"runtime"
 	"strings"
 	"time"
 
 	"stringloops/internal/engine"
-	"stringloops/internal/leakcheck"
 	"stringloops/internal/loopdb"
 	"stringloops/internal/obs"
 	"stringloops/internal/service"
@@ -26,8 +23,7 @@ import (
 // gated micro number for the disabled-mode hot-path cost of the spend
 // collection behind provenance.
 type telemetryReport struct {
-	Benchmark string `json:"benchmark"`
-	GoVersion string `json:"go_version"`
+	header
 
 	Requests  int64 `json:"requests"`
 	Completed int64 `json:"completed"`
@@ -77,41 +73,29 @@ type telemetryReport struct {
 // the whole provenance surface: zero drift, reconciled provenance whose
 // attempt spends partition the totals, a valid scrape, a valid merged
 // trace, and disabled-mode micro overhead within the PR 5 bar.
-func telemetryLane(short, check bool, out string) {
+func telemetryLane(p params) {
 	reqsPerPhase := 24
-	if short {
+	if p.short {
 		reqsPerPhase = 8
 	}
 
 	serverTracer := obs.NewDeterministic()
 	clientTracer := obs.NewDeterministic()
 	m := obs.NewMetrics()
-	cfg := service.Config{
+	d := startDaemon(service.Config{
 		MaxInFlight: runtime.GOMAXPROCS(0),
 		QueueDepth:  64,
 		Metrics:     m,
 		Tracer:      serverTracer,
 		Overload:    service.OverloadPolicy{Disable: true},
-	}
-	srv := service.New(cfg)
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fatal("telemetry lane listen: %v", err)
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	httpDone := make(chan error, 1)
-	go func() { httpDone <- httpSrv.Serve(ln) }()
-	base := "http://" + ln.Addr().String()
-	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 8}}
+	}, 8)
 
 	loops := loopdb.Corpus()[:6]
-	cl := &service.Client{Base: base, HTTP: hc, Seed: 1, ClientID: "bench-telemetry", Tracer: clientTracer}
+	cl := &service.Client{Base: d.base, HTTP: d.hc, Seed: 1, ClientID: "bench-telemetry", Tracer: clientTracer}
 	ctx := context.Background()
 
 	rep := telemetryReport{
-		Benchmark:            "BenchmarkTelemetry",
-		GoVersion:            runtime.Version(),
+		header:               newHeader("BenchmarkTelemetry", ""),
 		DisabledOverheadGate: 2.0,
 	}
 
@@ -162,7 +146,7 @@ func telemetryLane(short, check bool, out string) {
 
 	// Prometheus scrape through the real endpoint, validated like CI does.
 	scrapeStart := time.Now()
-	resp, err := hc.Get(base + "/metrics?format=prom")
+	resp, err := d.hc.Get(d.base + "/metrics?format=prom")
 	if err != nil {
 		fatal("telemetry lane scrape: %v", err)
 	}
@@ -178,11 +162,7 @@ func telemetryLane(short, check bool, out string) {
 	rep.PromValid = obs.ValidatePrometheus(prom) == nil
 	rep.PromSeries = strings.Count(string(prom), "# TYPE ")
 
-	sctx, scancel := context.WithTimeout(context.Background(), 10*time.Second)
-	httpSrv.Shutdown(sctx)
-	scancel()
-	<-httpDone
-	hc.CloseIdleConnections()
+	rep.GoroutineLeaks = d.stop()
 
 	// Merge the two sides' traces the way tracecheck -merge does.
 	var clientBuf, serverBuf bytes.Buffer
@@ -204,10 +184,7 @@ func telemetryLane(short, check bool, out string) {
 
 	// Micro gate: the spend-collection pattern against the bare instrumented
 	// loop, best-of-3 like the BENCH_5 lane.
-	iters := 50_000_000
-	if short {
-		iters = 5_000_000
-	}
+	iters := microIters(p.short)
 	const batch = 4096
 	rep.MicroIters, rep.MicroBatch = iters, batch
 	rep.MicroBareNs = bestOf(3, func() int64 {
@@ -218,23 +195,8 @@ func telemetryLane(short, check bool, out string) {
 	})
 	rep.DisabledOverheadPct = 100 * (float64(rep.MicroTelemetryNs)/float64(rep.MicroBareNs) - 1)
 
-	tb := &benchTB{}
-	leakcheck.CheckWithin(tb, 10*time.Second)
-	rep.GoroutineLeaks = tb.leaks
-
-	enc, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal("telemetry lane marshal: %v", err)
-	}
-	enc = append(enc, '\n')
-	fmt.Print(string(enc))
-	if out != "" {
-		if err := os.WriteFile(out, enc, 0o644); err != nil {
-			fatal("write %s: %v", out, err)
-		}
-	}
-
-	if check {
+	emit(rep, p.out)
+	if p.check {
 		if rep.ReconcileDrift != 0 {
 			fatal("telemetry check failed: %d requests with budget<->metrics drift", rep.ReconcileDrift)
 		}

@@ -56,7 +56,7 @@ type ruleList []rule
 func (r *ruleList) String() string { return "" }
 
 func (r *ruleList) Set(s string) error {
-	eq := strings.LastIndex(s, "=")
+	eq := strings.Index(s, "=")
 	if eq <= 0 {
 		return fmt.Errorf("rule %q: want pattern=spec", s)
 	}

@@ -31,7 +31,7 @@ func main() {
 
 	loops := loopdb.Corpus()
 	fmt.Printf("baseline: full vocabulary, max size 9, %v per loop...\n", *baselineBudget)
-	baseline := harness.CountSynthesizedParallel(loops, cegis.Options{Timeout: *baselineBudget}, *jobs)
+	baseline := harness.CountSynthesized(loops, cegis.Options{Timeout: *baselineBudget}, *jobs)
 	fmt.Printf("baseline synthesises %d/%d loops\n\n", baseline, len(loops))
 
 	eval := 0
@@ -45,7 +45,7 @@ func main() {
 			return 0
 		}
 		start := time.Now()
-		n := harness.CountSynthesizedParallel(loops, cegis.Options{
+		n := harness.CountSynthesized(loops, cegis.Options{
 			Vocabulary:  v,
 			Timeout:     *timeout,
 			MaxProgSize: *maxSize,

@@ -405,17 +405,9 @@ func (s *Solver) modelAssignment() *Assignment {
 // (0 = unbounded) and the optional budget b carries run-wide cancellation
 // and conflict accounting into the SAT layer.
 func CheckSat(b *engine.Budget, maxConflicts int64, formulas ...*Bool) (sat.Status, *Assignment) {
-	return CheckSatFaults(b, maxConflicts, nil, formulas...)
-}
-
-// CheckSatFaults is CheckSat with a fault-injection registry threaded into
-// the SAT layer (nil disables injection) — the cache-less solver path of
-// callers that run with Options.DisableQCache.
-func CheckSatFaults(b *engine.Budget, maxConflicts int64, faults *faultpoint.Registry, formulas ...*Bool) (sat.Status, *Assignment) {
 	s := NewSolver()
 	s.MaxConflicts = maxConflicts
 	s.Budget = b
-	s.Faults = faults
 	for _, f := range formulas {
 		s.Assert(f)
 	}

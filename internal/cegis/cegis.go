@@ -74,10 +74,6 @@ type Options struct {
 	// computed (symex.Engine.Merge): join-point states fold into ite values
 	// and disjoined conditions instead of enumerating every path suffix.
 	Merge bool
-	// DisableQCache turns off the per-synthesizer query cache
-	// (internal/qcache) and solves every query with a fresh solver — the
-	// baseline configuration for the cache-on/off benchmarks.
-	DisableQCache bool
 	// NoVN disables the value-numbering rewrite layer on the synthesizer's
 	// interner (bv.Interner.SetVN); inverted so the zero Options keeps it
 	// on. Candidate-check formulas then reach the solver unrewritten.
@@ -90,7 +86,7 @@ type Options struct {
 	// Disk, when non-nil, backs the per-synthesizer query cache with a
 	// shared counterexample store keyed by canonical (interner-independent)
 	// query hashes, so verdicts persist across synthesizer instances and
-	// across processes. Ignored under DisableQCache.
+	// across processes.
 	Disk *diskcache.Store
 }
 
@@ -208,7 +204,7 @@ type Synthesizer struct {
 	origNull vocab.Result
 	cexs     []cexState
 	bvin     *bv.Interner
-	cache    *qcache.Cache // nil when Options.DisableQCache
+	cache    *qcache.Cache
 	budget   *engine.Budget
 	stats    Stats
 }
@@ -219,9 +215,7 @@ func New(loop *cir.Func, opts Options) (*Synthesizer, error) {
 	opts = opts.withDefaults()
 	s := &Synthesizer{opts: opts, loop: loop, bvin: bv.NewInterner(), budget: opts.Budget}
 	s.bvin.SetFaults(opts.Faults).SetVN(!opts.NoVN)
-	if !opts.DisableQCache {
-		s.cache = qcache.New(s.bvin).SetFaults(opts.Faults).SetDisk(opts.Disk)
-	}
+	s.cache = qcache.New(s.bvin).SetFaults(opts.Faults).SetDisk(opts.Disk)
 	if len(loop.Params) != 1 || loop.Params[0].Ty != cir.TyPtr {
 		return nil, fmt.Errorf("cegis: %s does not have the loopFunction signature", loop.Name)
 	}
@@ -666,23 +660,9 @@ func (s *Synthesizer) solveArgs(skel []shape, symProg vocab.SymProgram, argVars 
 	return out, true
 }
 
-// checkSat decides a conjunction through the synthesizer's query cache (or a
-// fresh solver when the cache is disabled).
+// checkSat decides a conjunction through the synthesizer's query cache.
 func (s *Synthesizer) checkSat(constraints ...*bv.Bool) (sat.Status, *bv.Assignment) {
-	if s.cache != nil {
-		return s.cache.CheckSat(s.budget, s.opts.SolverBudget, constraints...)
-	}
-	if s.bvin.VNEnabled() {
-		// The cache path simplifies inside CheckSat; the cache-less baseline
-		// still routes candidate-check formulas through the memoized
-		// simplifier so repeated candidate shapes value-number once.
-		simplified := make([]*bv.Bool, len(constraints))
-		for i, f := range constraints {
-			simplified[i] = s.bvin.SimplifyBool(f)
-		}
-		constraints = simplified
-	}
-	return bv.CheckSatFaults(s.budget, s.opts.SolverBudget, s.opts.Faults, constraints...)
+	return s.cache.CheckSat(s.budget, s.opts.SolverBudget, constraints...)
 }
 
 // verify checks bounded equivalence of a concrete candidate against the

@@ -157,7 +157,9 @@ func Summarize(source, funcName string, opts Options) (*Summary, error) {
 	// shapes the outcome keys the finished summary, so a structurally known
 	// loop — resubmitted in this process or a previous one — returns in O(1).
 	// Only deterministic outcomes are stored (a found summary, a clean
-	// exhaustive not-found); budget-classified failures always recompute.
+	// exhaustive not-found); budget-classified failures always recompute,
+	// and so does any outcome computed while an armed fault fired, since the
+	// key does not carry the fault schedule.
 	// Concurrent -j drivers summarising the same loop collapse to one run
 	// through the store's singleflight.
 	key := fmt.Sprintf("sum1:%s:%s:%d:%d:%d:%t:%t", cir.CanonicalHash(f),
@@ -170,8 +172,11 @@ func Summarize(source, funcName string, opts Options) (*Summary, error) {
 	)
 	raw, cached := memo.Do(opts.Budget, key, func() ([]byte, bool) {
 		computed = true
+		fired := opts.Faults.TotalFired()
 		s, serr = summarizeLoop(f, opts)
 		switch {
+		case opts.Faults.TotalFired() != fired:
+			return nil, false
 		case serr == nil:
 			return encodeSummary(s), true
 		case errors.Is(serr, ErrNotFound) && !errors.Is(serr, engine.ErrBudget):

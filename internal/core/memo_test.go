@@ -10,6 +10,7 @@ import (
 
 	"stringloops/internal/diskcache"
 	"stringloops/internal/engine"
+	"stringloops/internal/faultpoint"
 )
 
 // newTestTier builds a cache tier over a temp directory.
@@ -133,5 +134,27 @@ func TestSummarizeMemoKeyRespectsOptions(t *testing.T) {
 	// vocabulary's entry is in the memo.
 	if _, err := Summarize(src, "", Options{Timeout: time.Minute, Cache: tier, Vocabulary: "EF"}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("restricted vocabulary must not reuse the full-vocabulary entry: %v", err)
+	}
+}
+
+// TestSummarizeMemoSkipsFaultedRuns: an outcome computed while a fault fired
+// is not the loop's outcome, so it must not be memoised. A candidate-reject
+// storm makes the Figure 1 loop look unsummarisable; a clean run on the same
+// tier must still search for itself and find the summary.
+func TestSummarizeMemoSkipsFaultedRuns(t *testing.T) {
+	tier := newTestTier(t)
+	faults := faultpoint.New(faultpoint.Config{Seed: 1, Rates: map[faultpoint.Site]float64{faultpoint.CegisReject: 1}})
+	if _, err := Summarize(figure1, "", Options{Timeout: time.Minute, Cache: tier, Faults: faults}); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("faulted run: %v, want ErrNotFound", err)
+	}
+	if faults.Fired(faultpoint.CegisReject) == 0 {
+		t.Fatal("the reject site never fired")
+	}
+	s, err := Summarize(figure1, "", Options{Timeout: time.Minute, Cache: tier})
+	if err != nil {
+		t.Fatalf("clean run after a faulted one: %v", err)
+	}
+	if off, found := s.Run(" \t x"); !found || off != 3 {
+		t.Errorf("summary %q: Run = %d,%v, want 3,true", s.Encoded, off, found)
 	}
 }

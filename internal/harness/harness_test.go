@@ -31,7 +31,7 @@ func smallCorpus(t *testing.T, names ...string) []loopdb.Loop {
 func TestSynthesizeCorpusRecords(t *testing.T) {
 	loops := smallCorpus(t, "bash/skip_spaces", "ssh/find_comma", "git/mid1")
 	var progress strings.Builder
-	records := SynthesizeCorpus(loops, cegis.Options{Timeout: 5 * time.Second}, &progress)
+	records := SynthesizeCorpus(loops, cegis.Options{Timeout: 5 * time.Second}, &progress, 1, nil)
 	if len(records) != 3 {
 		t.Fatalf("%d records", len(records))
 	}
@@ -111,12 +111,12 @@ func TestFigure2Derivation(t *testing.T) {
 
 func TestCountSynthesizedRestrictsVocabulary(t *testing.T) {
 	loops := smallCorpus(t, "bash/skip_spaces", "bash/find_eq")
-	full := CountSynthesized(loops, cegis.Options{Timeout: 5 * time.Second})
+	full := CountSynthesized(loops, cegis.Options{Timeout: 5 * time.Second}, 1)
 	if full != 2 {
 		t.Fatalf("full vocabulary should synthesise both, got %d", full)
 	}
 	pOnly, _ := vocab.VocabularyOf("PF")
-	limited := CountSynthesized(loops, cegis.Options{Vocabulary: pOnly, Timeout: 2 * time.Second})
+	limited := CountSynthesized(loops, cegis.Options{Vocabulary: pOnly, Timeout: 2 * time.Second}, 1)
 	if limited != 1 {
 		t.Fatalf("P-only vocabulary should synthesise just the span loop, got %d", limited)
 	}

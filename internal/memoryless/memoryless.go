@@ -146,7 +146,8 @@ type VerifyOptions struct {
 	// Memo attaches the whole-verdict memo store: the bounded equivalence
 	// check's outcome is keyed by the loop's canonical hash, so re-verifying
 	// a structurally known loop skips symbolic execution and solving
-	// entirely. Budget-classified failures are never memoized (nil = off).
+	// entirely. Budget-classified failures and verdicts reached while an
+	// armed fault fired are never memoized (nil = off).
 	Memo *diskcache.Store
 }
 
@@ -412,8 +413,9 @@ func (spec *Spec) missResult(k int) vocab.Result {
 // live check would have produced — the verified direction and miss behaviour
 // (checkEquivalence refines them on success) or the counterexample bytes.
 // Only deterministic outcomes are stored: an error (budget exhaustion, an
-// unsupported construct) computes live every time, so a transiently starved
-// run can never freeze a wrong verdict into the cache. Concurrent drivers
+// unsupported construct) or a verdict reached while an armed fault fired
+// computes live every time, so a transiently starved or fault-injected run
+// can never freeze a wrong verdict into the cache. Concurrent drivers
 // verifying the same loop collapse to one computation via the store's
 // singleflight.
 func checkEquivalenceMemo(loop *cir.Func, spec *Spec, maxLen int, opts VerifyOptions) (bool, []byte, error) {
@@ -429,8 +431,9 @@ func checkEquivalenceMemo(loop *cir.Func, spec *Spec, maxLen int, opts VerifyOpt
 	)
 	raw, cached := opts.Memo.Do(opts.Budget, key, func() ([]byte, bool) {
 		computed = true
+		fired := opts.Faults.TotalFired()
 		ok, cex, err = checkEquivalence(loop, spec, maxLen, opts)
-		if err != nil {
+		if err != nil || opts.Faults.TotalFired() != fired {
 			return nil, false
 		}
 		if ok {

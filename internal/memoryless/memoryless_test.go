@@ -6,6 +6,8 @@ import (
 
 	"stringloops/internal/cc"
 	"stringloops/internal/cir"
+	"stringloops/internal/diskcache"
+	"stringloops/internal/faultpoint"
 )
 
 func lower(t *testing.T, src string) *cir.Func {
@@ -293,5 +295,33 @@ func TestNonLoopSignatureRejected(t *testing.T) {
 	f := lower(t, `int f(int x) { return x; }`)
 	if r := Verify(f, 3); r.Memoryless {
 		t.Fatal("non-loopFunction must be rejected")
+	}
+}
+
+// TestVerifyMemoSkipsFaultedRuns: the memo key does not carry the fault
+// schedule, so a verdict reached while a fault fired must not be stored.
+// Forced cache misses leave the verdict right, and still keep it out.
+func TestVerifyMemoSkipsFaultedRuns(t *testing.T) {
+	tier, err := diskcache.Open(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := tier.MemoStore()
+	loop := lower(t, `char *skip(char *s) { while (*s == ' ') s++; return s; }`)
+	faults := faultpoint.New(faultpoint.Config{Seed: 1, Rates: map[faultpoint.Site]float64{faultpoint.QCacheMiss: 1}})
+	if r := VerifyWith(loop, VerifyOptions{Faults: faults, Memo: memo}); !r.Memoryless {
+		t.Fatalf("faulted run: %s", r.Reason)
+	}
+	if faults.TotalFired() == 0 {
+		t.Fatal("no fault fired")
+	}
+	if n := memo.Len(); n != 0 {
+		t.Fatalf("faulted run stored %d memo entries", n)
+	}
+	if r := VerifyWith(loop, VerifyOptions{Memo: memo}); !r.Memoryless {
+		t.Fatalf("clean run: %s", r.Reason)
+	}
+	if n := memo.Len(); n != 1 {
+		t.Fatalf("clean run stored %d memo entries, want 1", n)
 	}
 }

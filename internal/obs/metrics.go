@@ -10,7 +10,7 @@
 // *Counter adds nothing, a nil *Metrics hands out nil instruments — so
 // instrumented hot paths pay one predicted nil check when observability is
 // disabled, and layers thread obs handles without guards. The overhead
-// benchmark (overhead_bench_test.go, cmd/bench -obs) holds the disabled
+// benchmark (overhead_bench_test.go, cmd/bench -lane obs) holds the disabled
 // cost under 2%.
 //
 // Layers do not pass obs handles explicitly: they ride the already-threaded

@@ -132,7 +132,7 @@ func TestDumpMentionsEveryInstrument(t *testing.T) {
 
 // The disabled-mode cost the ISSUE gates at 2%: charging nil instruments and
 // nil spans must stay within nanoseconds of a bare loop. CI keeps these as
-// benchmarks; cmd/bench -obs turns the same pattern into the BENCH_5 gate.
+// benchmarks; cmd/bench -lane obs turns the same pattern into the BENCH_5 gate.
 
 func BenchmarkCounterDisabled(b *testing.B) {
 	var c *Counter
