@@ -26,7 +26,6 @@ import (
 	"stringloops"
 	"stringloops/internal/cliflags"
 	"stringloops/internal/core"
-	"stringloops/internal/diskcache"
 	"stringloops/internal/engine"
 	"stringloops/internal/loopdb"
 	"stringloops/internal/obs"
@@ -45,17 +44,14 @@ func main() {
 	corpus := flag.Bool("corpus", false, "summarise the built-in loop database instead of a file")
 	sample := flag.Int("sample", 0, "with -corpus: only the first N loops (0 = all)")
 	jobs := cliflags.Jobs(nil, 1)
-	merge := cliflags.Merge(nil, false)
-	vn := cliflags.VN(nil, true)
-	cacheDir := cliflags.CacheDir(nil)
-	cacheMaxBytes := cliflags.CacheMaxBytes(nil)
+	profile := cliflags.Profile(nil)
 	server := cliflags.Server(nil)
 	explain := cliflags.Explain(nil)
 	obsFlags := cliflags.Obs(nil)
 	flag.Parse()
 
 	if *corpus {
-		os.Exit(runCorpus(*sample, *jobs, *timeout, *maxSize, *merge, *vn, *cacheDir, *cacheMaxBytes, obsFlags))
+		os.Exit(runCorpus(*sample, *jobs, *timeout, *maxSize, profile, obsFlags))
 	}
 
 	if flag.NArg() != 1 {
@@ -109,10 +105,9 @@ func main() {
 		MaxProgramSize:    *maxSize,
 		Timeout:           *timeout,
 		RequireMemoryless: *requireMem,
-		Merge:             *merge,
-		NoVN:              !*vn,
-		CacheDir:          *cacheDir,
-		CacheMaxBytes:     *cacheMaxBytes,
+		Profile:           profile.Profile(),
+		CacheDir:          *profile.CacheDir,
+		CacheMaxBytes:     *profile.CacheMaxBytes,
 	}
 
 	if *resilient {
@@ -140,13 +135,13 @@ func main() {
 // session's observability handles, then reconciles the report's counter
 // totals against the summed budget spend: both sides count through the same
 // engine.Budget mirrors, so any drift means an instrumentation bug.
-func runCorpus(sample, jobs int, timeout time.Duration, maxSize int, merge, vn bool, cacheDir string, cacheMaxBytes int64, obsFlags *obs.Flags) int {
+func runCorpus(sample, jobs int, timeout time.Duration, maxSize int, profile *cliflags.ProfileFlags, obsFlags *obs.Flags) int {
 	sess, err := obsFlags.Start()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "loopsum: %v\n", err)
 		return 2
 	}
-	tier, err := diskcache.OpenSized(cacheDir, cacheMaxBytes, nil)
+	tier, err := profile.OpenTier()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "loopsum: %v\n", err)
 		return 2
@@ -167,18 +162,10 @@ func runCorpus(sample, jobs int, timeout time.Duration, maxSize int, merge, vn b
 			MaxProgramSize: maxSize,
 			Timeout:        timeout,
 			Budget:         budget,
-			Merge:          merge,
-			NoVN:           !vn,
+			Profile:        profile.Profile(),
 			Cache:          tier,
 		})
-		switch {
-		case err == nil:
-			outcomes[i] = "ok"
-		case errors.Is(err, core.ErrNotFound):
-			outcomes[i] = "notfound"
-		default:
-			outcomes[i] = "error"
-		}
+		outcomes[i] = corpusOutcome(err)
 		item.Finish(outcomes[i])
 	})
 
@@ -207,6 +194,21 @@ func runCorpus(sample, jobs int, timeout time.Duration, maxSize int, merge, vn b
 		fmt.Println("reconcile: report totals match budget spend")
 	}
 	return 0
+}
+
+// corpusOutcome labels a corpus run for the report; a miss the budget
+// stopped reads "budget", a decided miss "notfound".
+func corpusOutcome(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, engine.ErrBudget):
+		return "budget"
+	case errors.Is(err, core.ErrNotFound):
+		return "notfound"
+	default:
+		return "error"
+	}
 }
 
 // runResilient walks the degradation ladder and reports the best rung

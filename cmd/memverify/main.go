@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"stringloops/internal/cliflags"
-	"stringloops/internal/diskcache"
 	"stringloops/internal/engine"
 	"stringloops/internal/loopdb"
 	"stringloops/internal/memoryless"
@@ -21,10 +20,7 @@ func main() {
 	maxLen := flag.Int("maxlen", 3, "bounded-check string length")
 	verbose := flag.Bool("v", false, "per-loop results")
 	jobs := cliflags.Jobs(nil, 1)
-	merge := cliflags.Merge(nil, false)
-	vn := cliflags.VN(nil, true)
-	cacheDir := cliflags.CacheDir(nil)
-	cacheMaxBytes := cliflags.CacheMaxBytes(nil)
+	profile := cliflags.Profile(nil)
 	obsFlags := cliflags.Obs(nil)
 	flag.Parse()
 	sess, err := obsFlags.Start()
@@ -32,7 +28,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "memverify: %v\n", err)
 		os.Exit(2)
 	}
-	tier, err := diskcache.OpenSized(*cacheDir, *cacheMaxBytes, nil)
+	tier, err := profile.OpenTier()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "memverify: %v\n", err)
 		os.Exit(2)
@@ -55,7 +51,7 @@ func main() {
 		budget := engine.NewBudget(nil, engine.Limits{}).
 			SetObs(item.Tracer(), item.Metrics())
 		reports[i] = memoryless.VerifyWith(f, memoryless.VerifyOptions{
-			MaxLen: *maxLen, Budget: budget, Merge: *merge, NoVN: !*vn,
+			MaxLen: *maxLen, Budget: budget, Profile: profile.Profile(),
 			Disk: tier.QueryStore(), Memo: tier.MemoStore(),
 		})
 		outcome := "rejected"

@@ -33,10 +33,7 @@ func main() {
 	verbose := flag.Bool("v", false, "per-loop progress")
 	jobs := cliflags.Jobs(nil, 1)
 	resilient := cliflags.Resilient(nil)
-	merge := cliflags.Merge(nil, false)
-	vn := cliflags.VN(nil, true)
-	cacheDir := cliflags.CacheDir(nil)
-	cacheMaxBytes := cliflags.CacheMaxBytes(nil)
+	profile := cliflags.Profile(nil)
 	obsFlags := cliflags.Obs(nil)
 	flag.Parse()
 	sess, err := obsFlags.Start()
@@ -44,13 +41,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "synth-eval: %v\n", err)
 		os.Exit(2)
 	}
-	tier, err := diskcache.OpenSized(*cacheDir, *cacheMaxBytes, nil)
+	tier, err := profile.OpenTier()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "synth-eval: %v\n", err)
 		os.Exit(2)
 	}
 	if *resilient {
-		code := resilientSweep(*timeout, *maxSize, *maxSet, *jobs, *merge, !*vn, tier, sess)
+		code := resilientSweep(*timeout, *maxSize, *maxSet, *jobs, profile.Profile(), tier, sess)
 		if err := tier.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "synth-eval: cache persist: %v\n", err)
 		}
@@ -64,8 +61,8 @@ func main() {
 		*table3, *figure2 = true, true
 	}
 
-	opts := cegis.Options{Timeout: *timeout, MaxProgSize: *maxSize, MaxSetLen: *maxSet, Merge: *merge,
-		NoVN: !*vn, Disk: tier.QueryStore()}
+	opts := cegis.Options{Timeout: *timeout, MaxProgSize: *maxSize, MaxSetLen: *maxSet,
+		Profile: profile.Profile(), Disk: tier.QueryStore()}
 	progress := (os.Stdout)
 	if !*verbose {
 		progress = nil
@@ -168,7 +165,7 @@ func main() {
 // ladder descended, the reason. Degraded loops are expected output, not
 // failures: the exit code is non-zero only when a loop fails outright
 // (infrastructure failure — even the concrete floor produced nothing).
-func resilientSweep(timeout time.Duration, maxSize, maxSet, jobs int, merge, noVN bool, tier *diskcache.Tier, sess *obs.Session) int {
+func resilientSweep(timeout time.Duration, maxSize, maxSet, jobs int, profile engine.Profile, tier *diskcache.Tier, sess *obs.Session) int {
 	corpus := loopdb.Corpus()
 	fmt.Printf("resilient sweep over %d loops (timeout %v, %d workers)...\n", len(corpus), timeout, jobs)
 	start := time.Now()
@@ -177,7 +174,7 @@ func resilientSweep(timeout time.Duration, maxSize, maxSet, jobs int, merge, noV
 		l := corpus[i]
 		item := sess.Item(l.Name, l.Program, worker)
 		outcomes[i] = core.SummarizeResilient(l.Source, l.FuncName, core.ResilientOptions{
-			Options: core.Options{Timeout: timeout, MaxProgramSize: maxSize, MaxSetSize: maxSet, Merge: merge, NoVN: noVN, Cache: tier},
+			Options: core.Options{Timeout: timeout, MaxProgramSize: maxSize, MaxSetSize: maxSet, Profile: profile, Cache: tier},
 			Tracer:  item.Tracer(),
 			Metrics: item.Metrics(),
 		})

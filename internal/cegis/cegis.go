@@ -70,14 +70,9 @@ type Options struct {
 	// counterexample set instead of carrying the set across sizes (the
 	// ablation benchmark sets it).
 	DisableCexReuse bool
-	// Merge enables state merging when the loop's symbolic paths are
-	// computed (symex.Engine.Merge): join-point states fold into ite values
-	// and disjoined conditions instead of enumerating every path suffix.
-	Merge bool
-	// NoVN disables the value-numbering rewrite layer on the synthesizer's
-	// interner (bv.Interner.SetVN); inverted so the zero Options keeps it
-	// on. Candidate-check formulas then reach the solver unrewritten.
-	NoVN bool
+	// Profile picks the executor that computes the loop's symbolic paths
+	// and the synthesizer's solver chain.
+	engine.Profile
 	// Faults, when non-nil, arms the fault-injection sites of this
 	// synthesis pipeline: the CegisReject candidate-rejection burst here,
 	// and the sat/bv/qcache/symex sites in the layers below, all under one

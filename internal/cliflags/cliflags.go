@@ -1,7 +1,8 @@
 // Package cliflags declares the flags shared by every cmd/ driver once, so
 // the surface stays consistent: -j always means the same worker semantics,
 // -resilient always names the degradation ladder, -qcache always routes
-// queries through internal/qcache, and the observability flags
+// queries through internal/qcache, -merge/-vn always pick the same
+// engine.Profile, and the observability flags
 // (-trace/-flame/-metrics/-report/-report-json/-pprof) come from one
 // registration in internal/obs.
 package cliflags
@@ -9,6 +10,8 @@ package cliflags
 import (
 	"flag"
 
+	"stringloops/internal/diskcache"
+	"stringloops/internal/engine"
 	"stringloops/internal/obs"
 )
 
@@ -39,36 +42,39 @@ func QCache(fs *flag.FlagSet, def bool) *bool {
 		"route solver queries through the query-cache chain (independence slicing, reuse cache, incremental solver)")
 }
 
-// Merge declares the canonical -merge flag.
-func Merge(fs *flag.FlagSet, def bool) *bool {
-	if fs == nil {
-		fs = flag.CommandLine
-	}
-	return fs.Bool("merge", def,
-		"merge symbolic-execution states at control-flow join points (ite values, disjoined path conditions) instead of enumerating every path suffix")
+// ProfileFlags holds the flags registered by Profile.
+type ProfileFlags struct {
+	merge, vn     *bool
+	CacheDir      *string
+	CacheMaxBytes *int64
 }
 
-// VN declares the canonical -vn flag: the value-numbering and ite-aware
-// rewrite layer in internal/bv (memoized simplification, shared-guard
-// fusion, guard-implication pruning, blast-cache accounting). On by
-// default; -vn=false restores the PR 6 rewrite set for A/B runs.
-func VN(fs *flag.FlagSet, def bool) *bool {
+// Profile declares the pipeline configuration flags of the summarising
+// drivers: -merge and -vn (the engine.Profile) and -cache-dir and
+// -cache-max-bytes (the persistent cache tier).
+func Profile(fs *flag.FlagSet) *ProfileFlags {
 	if fs == nil {
 		fs = flag.CommandLine
 	}
-	return fs.Bool("vn", def,
-		"value-number solver formulas (memoized simplification, ite-aware fusion and guard pruning) before slicing and blasting")
+	return &ProfileFlags{
+		merge: fs.Bool("merge", false,
+			"merge symbolic-execution states at control-flow join points (ite values, disjoined path conditions) instead of enumerating every path suffix"),
+		vn: fs.Bool("vn", true,
+			"value-number solver formulas (memoized simplification, ite-aware fusion and guard pruning) before slicing and blasting"),
+		CacheDir: CacheDir(fs),
+		CacheMaxBytes: fs.Int64("cache-max-bytes", 0,
+			"byte budget per persistent cache store (evicts least-recently-used records past it); 0 = entry-count cap only"),
+	}
 }
 
-// CacheMaxBytes declares the canonical -cache-max-bytes flag: the byte
-// budget of each persistent cache store (key+value payload bytes), enforced
-// next to the entry-count cap. 0 (the default) means no byte budget.
-func CacheMaxBytes(fs *flag.FlagSet) *int64 {
-	if fs == nil {
-		fs = flag.CommandLine
-	}
-	return fs.Int64("cache-max-bytes", 0,
-		"byte budget per persistent cache store (evicts least-recently-used records past it); 0 = entry-count cap only")
+// Profile returns the engine profile the parsed flags select.
+func (p *ProfileFlags) Profile() engine.Profile {
+	return engine.Profile{Merge: *p.merge, NoVN: !*p.vn}
+}
+
+// OpenTier opens the cache tier the parsed flags name (nil for no -cache-dir).
+func (p *ProfileFlags) OpenTier() (*diskcache.Tier, error) {
+	return diskcache.OpenSized(*p.CacheDir, *p.CacheMaxBytes, nil)
 }
 
 // CacheDir declares the canonical -cache-dir flag: the directory backing the

@@ -82,7 +82,7 @@ func chaosItems(t *testing.T, seed uint64, loops []loopdb.Loop, cacheDir string)
 		// enumerating one: both schedules must satisfy the same replay
 		// and typed-outcome contracts, with merging exercised under the
 		// full fault storm.
-		opts := Options{Faults: chaosRegistry(seed, i), Merge: seed%2 == 1}
+		opts := Options{Faults: chaosRegistry(seed, i), Profile: engine.Profile{Merge: seed%2 == 1}}
 		if cacheDir != "" {
 			tier, err := diskcache.Open(filepath.Join(cacheDir, fmt.Sprintf("item%02d", i)), opts.Faults)
 			if err != nil {

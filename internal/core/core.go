@@ -49,15 +49,9 @@ type Options struct {
 	// cancellation and resource caps shared by the memorylessness check and
 	// the synthesis; exhaustion surfaces as ErrNotFound, promptly.
 	Budget *engine.Budget
-	// Merge enables state merging in every symbolic execution of the
-	// pipeline (memorylessness check, synthesis path computation, covering
-	// inputs): see symex.Engine.Merge.
-	Merge bool
-	// NoVN disables the value-numbering rewrite layer (bv.Interner.SetVN)
-	// in every solver chain of the pipeline; inverted so the zero Options
-	// keeps it on. Verdicts are identical either way — only speed changes —
-	// so it does not key the whole-result memo.
-	NoVN bool
+	// Profile picks the executor and solver chain of every stage of the
+	// pipeline (memorylessness check, synthesis, covering inputs).
+	engine.Profile
 	// RequireMemoryless refuses to summarise loops that fail the §3
 	// memorylessness verification, guaranteeing the summary is equivalent on
 	// strings of every length, not just the bounded check.
@@ -162,9 +156,7 @@ func Summarize(source, funcName string, opts Options) (*Summary, error) {
 	// key does not carry the fault schedule.
 	// Concurrent -j drivers summarising the same loop collapse to one run
 	// through the store's singleflight.
-	key := fmt.Sprintf("sum1:%s:%s:%d:%d:%d:%t:%t", cir.CanonicalHash(f),
-		opts.Vocabulary, opts.MaxProgramSize, opts.MaxSetSize, opts.MaxExampleLength,
-		opts.RequireMemoryless, opts.Merge)
+	key := memoKey(f, opts)
 	var (
 		computed bool
 		s        *Summary
@@ -195,6 +187,14 @@ func Summarize(source, funcName string, opts Options) (*Summary, error) {
 	}
 	// Failed shared flight or undecodable entry: compute live.
 	return summarizeLoop(f, opts)
+}
+
+// memoKey is the whole-result memo key: the loop's canonical hash, every
+// option that shapes the outcome, and the profile's verdict-shaping fields.
+func memoKey(f *cir.Func, opts Options) string {
+	return fmt.Sprintf("sum1:%s:%s:%d:%d:%d:%t:%s", cir.CanonicalHash(f),
+		opts.Vocabulary, opts.MaxProgramSize, opts.MaxSetSize, opts.MaxExampleLength,
+		opts.RequireMemoryless, opts.Key())
 }
 
 // encodeSummary renders a found summary for the memo store: the encoded
@@ -247,13 +247,19 @@ func decodeSummary(raw []byte, funcName string) (*Summary, error, bool) {
 	return out, nil, true
 }
 
+// verifyOptions configures a memorylessness check of this pipeline on
+// strings up to maxLen, charged to budget.
+func (o Options) verifyOptions(maxLen int, budget *engine.Budget) memoryless.VerifyOptions {
+	return memoryless.VerifyOptions{
+		MaxLen: maxLen, Budget: budget, Faults: o.Faults, Profile: o.Profile,
+		Disk: o.Cache.QueryStore(), Memo: o.Cache.MemoStore(),
+	}
+}
+
 // summarizeLoop is the uncached pipeline: memorylessness check, CEGIS
 // synthesis, summary assembly.
 func summarizeLoop(f *cir.Func, opts Options) (*Summary, error) {
-	report := memoryless.VerifyWith(f, memoryless.VerifyOptions{
-		MaxLen: max(3, opts.MaxExampleLength), Budget: opts.Budget, Faults: opts.Faults, Merge: opts.Merge,
-		NoVN: opts.NoVN, Disk: opts.Cache.QueryStore(), Memo: opts.Cache.MemoStore(),
-	})
+	report := memoryless.VerifyWith(f, opts.verifyOptions(max(3, opts.MaxExampleLength), opts.Budget))
 	if opts.RequireMemoryless && !report.Memoryless {
 		if report.Err != nil {
 			// The check was interrupted, not refuted: keep the budget
@@ -271,8 +277,7 @@ func summarizeLoop(f *cir.Func, opts Options) (*Summary, error) {
 		Timeout:     opts.Timeout,
 		Budget:      opts.Budget,
 		Faults:      opts.Faults,
-		Merge:       opts.Merge,
-		NoVN:        opts.NoVN,
+		Profile:     opts.Profile,
 		Disk:        opts.Cache.QueryStore(),
 	}
 	if opts.Vocabulary != "" {

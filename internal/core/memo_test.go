@@ -158,3 +158,31 @@ func TestSummarizeMemoSkipsFaultedRuns(t *testing.T) {
 		t.Errorf("summary %q: Run = %d,%v, want 3,true", s.Encoded, off, found)
 	}
 }
+
+// TestMemoKeyGolden pins the sum1 key byte for byte to the format stores
+// were written with before engine.Profile existed, for every profile a
+// driver can select: NoVN is verdict-neutral and must not move the key.
+func TestMemoKeyGolden(t *testing.T) {
+	f, err := lowerNamed(`char *skipdots(char *s) { while (*s == '.') s++; return s; }`, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const h = "8a8a148bac7ca435b4fef33d95012edc4316d6c9c6e4abfec3f6271eeb67542c"
+	full := Options{Vocabulary: "MPNIFV", MaxProgramSize: 9, MaxSetSize: 3, MaxExampleLength: 3, RequireMemoryless: true}
+	for _, c := range []struct {
+		opts Options
+		p    engine.Profile
+		want string
+	}{
+		{Options{}, engine.Profile{}, "sum1:" + h + "::0:0:0:false:false"},
+		{full, engine.Profile{}, "sum1:" + h + ":MPNIFV:9:3:3:true:false"},
+		{full, engine.Profile{Merge: true}, "sum1:" + h + ":MPNIFV:9:3:3:true:true"},
+		{full, engine.Profile{NoVN: true}, "sum1:" + h + ":MPNIFV:9:3:3:true:false"},
+		{full, engine.Profile{Merge: true, NoVN: true}, "sum1:" + h + ":MPNIFV:9:3:3:true:true"},
+	} {
+		c.opts.Profile = c.p
+		if got := memoKey(f, c.opts); got != c.want {
+			t.Errorf("profile %+v: key\n  %s\nwant\n  %s", c.p, got, c.want)
+		}
+	}
+}

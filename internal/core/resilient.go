@@ -14,7 +14,6 @@ import (
 	"stringloops/internal/faultpoint"
 	"stringloops/internal/memoryless"
 	"stringloops/internal/obs"
-	"stringloops/internal/qcache"
 	"stringloops/internal/sat"
 	"stringloops/internal/supervise"
 	"stringloops/internal/symex"
@@ -218,11 +217,7 @@ func SummarizeResilient(source, funcName string, opts ResilientOptions) Outcome 
 			return nil
 		}},
 		{Name: RungMemoryless.String(), Run: func(lim engine.Limits) error {
-			b := opts.newAttemptBudget(lim)
-			r := memoryless.VerifyWith(f, memoryless.VerifyOptions{
-				MaxLen: maxLen, Budget: b, Faults: opts.Faults, Merge: opts.Merge,
-				NoVN: opts.NoVN, Disk: opts.Cache.QueryStore(), Memo: opts.Cache.MemoStore(),
-			})
+			r := memoryless.VerifyWith(f, opts.verifyOptions(maxLen, opts.newAttemptBudget(lim)))
 			if r.Err != nil {
 				return r.Err
 			}
@@ -300,19 +295,9 @@ func SummarizeResilient(source, funcName string, opts ResilientOptions) Outcome 
 // the degraded form of Summary.CoveringInputs that needs no synthesised
 // summary.
 func loopCoveringInputs(f *cir.Func, maxLen int, budget *engine.Budget, opts ResilientOptions) ([]TestInput, error) {
-	bvin := bv.NewInterner().SetBudget(budget).SetFaults(opts.Faults).SetVN(!opts.NoVN)
-	cache := qcache.New(bvin).SetFaults(opts.Faults).SetDisk(opts.Cache.QueryStore())
-	buf := symex.SymbolicString(bvin, "s", maxLen)
-	eng := &symex.Engine{
-		Objects:          [][]*bv.Term{buf},
-		CheckFeasibility: true,
-		Merge:            opts.Merge,
-		In:               bvin,
-		Budget:           budget,
-		Cache:            cache,
-		Faults:           opts.Faults,
-	}
-	paths, err := eng.Run(f, []symex.Value{symex.PtrValue(0, bvin.Int32(0))}, bv.True)
+	eng := symex.NewStringEngine(opts.Profile, maxLen, budget, opts.Faults, opts.Cache.QueryStore())
+	cache, buf := eng.Cache, eng.Objects[0]
+	paths, err := eng.RunString(f)
 	if err != nil {
 		return nil, err
 	}

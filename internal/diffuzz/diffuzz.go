@@ -60,17 +60,12 @@ type Options struct {
 	// must produce identical findings, since a cache can change speed but
 	// never verdicts.
 	Cache *diskcache.Tier
-	// Merge adds the state-merging symbolic executor as a third oracle
-	// (alongside path enumeration and the summary): every input is
-	// cross-checked merged vs enumerated vs concrete, so a merge bug that
-	// loses, duplicates, or mislabels a behaviour becomes a finding.
-	Merge bool
-	// NoVN disables the value-numbering rewrite layer in every pipeline
-	// under test; inverted so the zero Options keeps it armed. Like the
-	// caches, value numbering may change speed but never verdicts, so
-	// vn-on and vn-off runs over the same seeds must produce identical
-	// findings.
-	NoVN bool
+	// Profile configures the pipelines under test. Merge adds the merged
+	// symbolic executor as a third oracle (merged vs enumerated vs
+	// concrete); synthesis and memorylessness stay unmerged. NoVN reaches
+	// every pipeline: value numbering may change speed but never verdicts,
+	// so vn-on and vn-off runs over the same seeds must agree.
+	engine.Profile
 	// NoMinimize skips delta-debugging of findings.
 	NoMinimize bool
 }

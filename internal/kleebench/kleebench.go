@@ -87,21 +87,12 @@ func Vanilla(loop *cir.Func, n int, timeout time.Duration) Measurement {
 func VanillaWith(loop *cir.Func, n int, timeout time.Duration, cfg Config) Measurement {
 	start := time.Now()
 	budget := engine.NewBudget(cfg.Ctx, engine.Limits{Timeout: timeout})
-	bvin := bv.NewInterner().SetBudget(budget).SetVN(!cfg.NoVN)
-	var cache *qcache.Cache
-	if cfg.QCache {
-		cache = qcache.New(bvin)
+	eng := symex.NewStringEngine(engine.Profile{Merge: cfg.Merge, NoVN: cfg.NoVN}, n, budget, nil, nil)
+	if !cfg.QCache {
+		eng.Cache = nil
 	}
-	buf := symex.SymbolicString(bvin, "s", n)
-	eng := &symex.Engine{
-		Objects:          [][]*bv.Term{buf},
-		CheckFeasibility: true,
-		Merge:            cfg.Merge,
-		In:               bvin,
-		Budget:           budget,
-		Cache:            cache,
-	}
-	paths, err := eng.Run(loop, []symex.Value{symex.PtrValue(0, bvin.Int32(0))}, bv.True)
+	cache := eng.Cache
+	paths, err := eng.RunString(loop)
 	m := Measurement{
 		Mode:          "vanilla",
 		Length:        n,

@@ -29,7 +29,6 @@ import (
 	"stringloops/internal/engine"
 	"stringloops/internal/faultpoint"
 	"stringloops/internal/obs"
-	"stringloops/internal/qcache"
 	"stringloops/internal/sat"
 	"stringloops/internal/symex"
 	"stringloops/internal/vocab"
@@ -108,21 +107,7 @@ var ErrTimeout = fmt.Errorf("memoryless: budget exhausted (%w)", engine.ErrBudge
 // memoryless, inferring a specification and discharging the bounded
 // equivalence on strings of length <= maxLen (use 3, per the paper).
 func Verify(loop *cir.Func, maxLen int) Report {
-	return VerifyBudget(loop, maxLen, nil)
-}
-
-// VerifyBudget is Verify under a budget: the symbolic execution and the
-// solver poll b and the report comes back with Err == ErrTimeout (not a
-// refutation) when it expires first. A nil budget is unlimited.
-func VerifyBudget(loop *cir.Func, maxLen int, budget *engine.Budget) Report {
-	return VerifyFaults(loop, maxLen, budget, nil)
-}
-
-// VerifyFaults is VerifyBudget with a fault-injection registry threaded into
-// the verification pipeline (interner, query cache, symbolic engine). A nil
-// registry disables injection at zero cost.
-func VerifyFaults(loop *cir.Func, maxLen int, budget *engine.Budget, faults *faultpoint.Registry) Report {
-	return VerifyWith(loop, VerifyOptions{MaxLen: maxLen, Budget: budget, Faults: faults})
+	return VerifyWith(loop, VerifyOptions{MaxLen: maxLen})
 }
 
 // VerifyOptions bundles the optional knobs of a verification; the zero value
@@ -130,16 +115,14 @@ func VerifyFaults(loop *cir.Func, maxLen int, budget *engine.Budget, faults *fau
 type VerifyOptions struct {
 	// MaxLen is the bounded-equivalence string length (<= 0 means 3).
 	MaxLen int
-	// Budget carries cancellation and resource accounting (nil = unlimited).
+	// Budget carries cancellation and resource accounting (nil = unlimited):
+	// the symbolic execution and the solver poll it, and the report comes
+	// back with Err == ErrTimeout (not a refutation) when it expires first.
 	Budget *engine.Budget
 	// Faults arms the fault-injection sites (nil = off).
 	Faults *faultpoint.Registry
-	// Merge enables state merging in the bounded-equivalence symbolic
-	// execution (symex.Engine.Merge).
-	Merge bool
-	// NoVN disables the value-numbering rewrite layer on the check's
-	// interner (bv.Interner.SetVN); inverted so the zero value keeps it on.
-	NoVN bool
+	// Profile picks the bounded check's executor and solver chain.
+	engine.Profile
 	// Disk attaches the persistent query store to the bounded check's query
 	// cache (write-through canonical verdicts; nil = off).
 	Disk *diskcache.Store
@@ -151,8 +134,8 @@ type VerifyOptions struct {
 	Memo *diskcache.Store
 }
 
-// VerifyWith is the fully-optioned verification entry point; the stacked
-// Verify/VerifyBudget/VerifyFaults forms delegate here.
+// VerifyWith is the fully-optioned verification entry point; Verify
+// delegates here.
 func VerifyWith(loop *cir.Func, opts VerifyOptions) Report {
 	maxLen, budget := opts.MaxLen, opts.Budget
 	start := time.Now()
@@ -409,9 +392,10 @@ func (spec *Spec) missResult(k int) vocab.Result {
 
 // checkEquivalenceMemo wraps checkEquivalence with the whole-verdict memo
 // DB. The key is the loop's canonical structural hash plus the parameters
-// that shape the verdict (bound, merging); the value records exactly what a
-// live check would have produced — the verified direction and miss behaviour
-// (checkEquivalence refines them on success) or the counterexample bytes.
+// that shape the verdict (bound, Profile.Key); the value records exactly
+// what a live check would have produced — the verified direction and miss
+// behaviour (checkEquivalence refines them on success) or the
+// counterexample bytes.
 // Only deterministic outcomes are stored: an error (budget exhaustion, an
 // unsupported construct) or a verdict reached while an armed fault fired
 // computes live every time, so a transiently starved or fault-injected run
@@ -422,7 +406,7 @@ func checkEquivalenceMemo(loop *cir.Func, spec *Spec, maxLen int, opts VerifyOpt
 	if opts.Memo == nil {
 		return checkEquivalence(loop, spec, maxLen, opts)
 	}
-	key := fmt.Sprintf("mv1:%s:%d:%t", cir.CanonicalHash(loop), maxLen, opts.Merge)
+	key := memoKey(loop, maxLen, opts.Profile)
 	var (
 		computed bool
 		ok       bool
@@ -451,6 +435,12 @@ func checkEquivalenceMemo(loop *cir.Func, spec *Spec, maxLen int, opts VerifyOpt
 	}
 	// A failed shared flight or an undecodable entry: compute live.
 	return checkEquivalence(loop, spec, maxLen, opts)
+}
+
+// memoKey is the whole-verdict memo key: the loop's canonical hash, the
+// bound and the profile's verdict-shaping fields.
+func memoKey(loop *cir.Func, maxLen int, p engine.Profile) string {
+	return fmt.Sprintf("mv1:%s:%d:%s", cir.CanonicalHash(loop), maxLen, p.Key())
 }
 
 // decodeVerdict parses a memoized verdict, applying the verified direction
@@ -483,12 +473,10 @@ func decodeVerdict(raw []byte, spec *Spec) (ok bool, cex []byte, decoded bool) {
 // checkEquivalence discharges the bounded check: loop ≡ spec on all strings
 // of length <= maxLen, trying forward then backward traversal.
 func checkEquivalence(loop *cir.Func, spec *Spec, maxLen int, opts VerifyOptions) (bool, []byte, error) {
-	budget, faults := opts.Budget, opts.Faults
-	bvin := bv.NewInterner().SetBudget(budget).SetFaults(faults).SetVN(!opts.NoVN)
-	cache := qcache.New(bvin).SetFaults(faults).SetDisk(opts.Disk)
-	buf := symex.SymbolicString(bvin, "s", maxLen)
-	eng := &symex.Engine{Objects: [][]*bv.Term{buf}, CheckFeasibility: true, Merge: opts.Merge, In: bvin, Budget: budget, Cache: cache, Faults: faults}
-	paths, err := eng.Run(loop, []symex.Value{symex.PtrValue(0, bvin.Int32(0))}, bv.True)
+	budget := opts.Budget
+	eng := symex.NewStringEngine(opts.Profile, maxLen, budget, opts.Faults, opts.Disk)
+	bvin, cache, buf := eng.In, eng.Cache, eng.Objects[0]
+	paths, err := eng.RunString(loop)
 	if err != nil {
 		if errors.Is(err, symex.ErrTimeout) {
 			return false, nil, fmt.Errorf("%w: %w", ErrTimeout, err)

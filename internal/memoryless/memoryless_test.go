@@ -7,6 +7,7 @@ import (
 	"stringloops/internal/cc"
 	"stringloops/internal/cir"
 	"stringloops/internal/diskcache"
+	"stringloops/internal/engine"
 	"stringloops/internal/faultpoint"
 )
 
@@ -323,5 +324,26 @@ func TestVerifyMemoSkipsFaultedRuns(t *testing.T) {
 	}
 	if n := memo.Len(); n != 1 {
 		t.Fatalf("clean run stored %d memo entries, want 1", n)
+	}
+}
+
+// TestMemoKeyGolden pins the mv1 key byte for byte to the format stores
+// were written with before engine.Profile existed, for every profile a
+// driver can select: NoVN is verdict-neutral and must not move the key.
+func TestMemoKeyGolden(t *testing.T) {
+	f := lower(t, `char *skipdots(char *s) { while (*s == '.') s++; return s; }`)
+	const h = "8a8a148bac7ca435b4fef33d95012edc4316d6c9c6e4abfec3f6271eeb67542c"
+	for _, c := range []struct {
+		p    engine.Profile
+		want string
+	}{
+		{engine.Profile{}, "mv1:" + h + ":3:false"},
+		{engine.Profile{Merge: true}, "mv1:" + h + ":3:true"},
+		{engine.Profile{NoVN: true}, "mv1:" + h + ":3:false"},
+		{engine.Profile{Merge: true, NoVN: true}, "mv1:" + h + ":3:true"},
+	} {
+		if got := memoKey(f, 3, c.p); got != c.want {
+			t.Errorf("profile %+v: key\n  %s\nwant\n  %s", c.p, got, c.want)
+		}
 	}
 }

@@ -21,8 +21,9 @@ type PhaseStat struct {
 type LoopRow struct {
 	Loop    string `json:"loop"`
 	Program string `json:"program,omitempty"`
-	// Outcome classifies the run ("ok", "notfound", a ladder rung, an
-	// error class).
+	// Outcome classifies the run ("ok", "budget" for a miss the budget
+	// stopped, "notfound" for a decided miss, a ladder rung, an error
+	// class).
 	Outcome string `json:"outcome"`
 	// Phases maps phase name (span name with the "phase/" prefix
 	// stripped) to its aggregated time.

@@ -22,7 +22,7 @@ func newExplainServer(t *testing.T, merge bool) (*Server, *httptest.Server, *obs
 		Overload:    OverloadPolicy{Disable: true},
 		Metrics:     m,
 		Tracer:      obs.NewDeterministic(),
-		Merge:       merge,
+		Profile:     engine.Profile{Merge: merge},
 	})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)

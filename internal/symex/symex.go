@@ -19,6 +19,7 @@ import (
 
 	"stringloops/internal/bv"
 	"stringloops/internal/cir"
+	"stringloops/internal/diskcache"
 	"stringloops/internal/engine"
 	"stringloops/internal/faultpoint"
 	"stringloops/internal/obs"
@@ -920,6 +921,23 @@ func SymbolicString(in *bv.Interner, name string, maxLen int) []*bv.Term {
 	}
 	buf[maxLen] = in.Byte(0)
 	return buf
+}
+
+// NewStringEngine builds the feasibility-checked executor of a bounded
+// string-loop run under profile p: a fresh interner charged to budget, a
+// query cache on it backed by disk, and Objects[0] holding the symbolic
+// string "s" of maxLen bytes. RunString then runs a loopFunction on it.
+func NewStringEngine(p engine.Profile, maxLen int, budget *engine.Budget, faults *faultpoint.Registry, disk *diskcache.Store) *Engine {
+	in := bv.NewInterner().SetBudget(budget).SetFaults(faults).SetVN(!p.NoVN)
+	cache := qcache.New(in).SetFaults(faults).SetDisk(disk)
+	return &Engine{Objects: [][]*bv.Term{SymbolicString(in, "s", maxLen)}, CheckFeasibility: true,
+		Merge: p.Merge, In: in, Budget: budget, Cache: cache, Faults: faults}
+}
+
+// RunString runs the loopFunction f with its parameter pointing at the
+// start of Objects[0].
+func (e *Engine) RunString(f *cir.Func) ([]Path, error) {
+	return e.Run(f, []Value{PtrValue(0, e.In.Int32(0))}, bv.True)
 }
 
 // ConcreteString wraps a concrete NUL-terminated buffer as constant terms

@@ -32,6 +32,7 @@ import (
 
 	"stringloops/internal/core"
 	"stringloops/internal/diskcache"
+	"stringloops/internal/engine"
 )
 
 // Options configures Summarize. The zero value matches the paper's main
@@ -54,13 +55,9 @@ type Options struct {
 	// proves the loop memoryless, upgrading the bounded equivalence to all
 	// string lengths.
 	RequireMemoryless bool
-	// Merge enables state-merging symbolic execution throughout the
-	// pipeline: paths that reconverge at control-flow join points fold into
-	// one state with ite-merged values instead of being enumerated.
-	Merge bool
-	// NoVN disables the value-numbering rewrite layer in every solver chain
-	// of the pipeline; inverted so the zero Options keeps it on.
-	NoVN bool
+	// Profile picks the pipeline configuration: state merging (Merge) and
+	// the value-numbering rewrite layer (NoVN turns it off).
+	Profile
 	// CacheDir, when non-empty, backs the run with the persistent cache
 	// tier: solver counterexamples (keyed by canonical, interner-independent
 	// query hashes) and whole-loop summary memos (keyed by the loop's
@@ -75,6 +72,9 @@ type Options struct {
 	// means no byte bound.
 	CacheMaxBytes int64
 }
+
+// Profile is the pipeline configuration embedded in Options.
+type Profile = engine.Profile
 
 // Summary is a synthesised loop summary.
 type Summary = core.Summary
@@ -103,8 +103,7 @@ func (o Options) toCore() core.Options {
 		MaxExampleLength:  o.MaxExampleLength,
 		Timeout:           o.Timeout,
 		RequireMemoryless: o.RequireMemoryless,
-		Merge:             o.Merge,
-		NoVN:              o.NoVN,
+		Profile:           o.Profile,
 	}
 }
 
