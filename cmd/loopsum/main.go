@@ -131,10 +131,10 @@ func main() {
 	fmt.Println(summary.C)
 }
 
-// runCorpus sweeps the loop database with a per-loop budget carrying the
-// session's observability handles, then reconciles the report's counter
-// totals against the summed budget spend: both sides count through the same
-// engine.Budget mirrors, so any drift means an instrumentation bug.
+// runCorpus sweeps the loop database through core.Sweep, one budget per
+// loop carrying the session's observability handles. With a report the
+// sweep reconciles every loop's counters against its budget spend, and
+// sess.Finish fails the run on drift.
 func runCorpus(sample, jobs int, timeout time.Duration, maxSize int, profile *cliflags.ProfileFlags, obsFlags *obs.Flags) int {
 	sess, err := obsFlags.Start()
 	if err != nil {
@@ -150,28 +150,12 @@ func runCorpus(sample, jobs int, timeout time.Duration, maxSize int, profile *cl
 	if sample > 0 && sample < len(loops) {
 		loops = loops[:sample]
 	}
-	budgets := make([]*engine.Budget, len(loops))
-	outcomes := make([]string, len(loops))
-	engine.MapWorker(engine.Workers(jobs, len(loops)), len(loops), func(worker, i int) {
-		l := loops[i]
-		item := sess.Item(l.Name, l.Program, worker)
-		budget := engine.NewBudget(nil, engine.Limits{Timeout: timeout}).
-			SetObs(item.Tracer(), item.Metrics())
-		budgets[i] = budget
-		_, err := core.Summarize(l.Source, l.FuncName, core.Options{
-			MaxProgramSize: maxSize,
-			Timeout:        timeout,
-			Budget:         budget,
-			Profile:        profile.Profile(),
-			Cache:          tier,
-		})
-		outcomes[i] = corpusOutcome(err)
-		item.Finish(outcomes[i])
-	})
-
+	opts := core.Options{MaxProgramSize: maxSize, Timeout: timeout, Profile: profile.Profile(), Cache: tier}
 	found := 0
-	for _, o := range outcomes {
-		if o == "ok" {
+	for _, r := range core.Sweep(loops, jobs, sess, func(it *core.SweepItem) (*core.Summary, string, error) {
+		return summarizeItem(it, opts)
+	}) {
+		if r.Value != nil {
 			found++
 		}
 	}
@@ -183,32 +167,26 @@ func runCorpus(sample, jobs int, timeout time.Duration, maxSize int, profile *cl
 		fmt.Fprintf(os.Stderr, "loopsum: %v\n", err)
 		return 1
 	}
-	if sess.Report != nil {
-		// The report's counter totals must equal the summed per-loop budget
-		// spend, for every row of the engine counter table.
-		_, totals := sess.Report.Totals()
-		if err := engine.SumSpend(budgets).Check(totals); err != nil {
-			fmt.Fprintf(os.Stderr, "loopsum: reconcile: %v\n", err)
-			return 1
-		}
-		fmt.Println("reconcile: report totals match budget spend")
-	}
 	return 0
 }
 
-// corpusOutcome labels a corpus run for the report; a miss the budget
-// stopped reads "budget", a decided miss "notfound".
-func corpusOutcome(err error) string {
-	switch {
-	case err == nil:
-		return "ok"
-	case errors.Is(err, engine.ErrBudget):
-		return "budget"
-	case errors.Is(err, core.ErrNotFound):
-		return "notfound"
-	default:
-		return "error"
+// summarizeItem summarises one sweep loop under a budget from its item
+// (unless opts brings its own).
+func summarizeItem(it *core.SweepItem, opts core.Options) (*core.Summary, string, error) {
+	if opts.Budget == nil {
+		opts.Budget = it.Budget(engine.Limits{Timeout: opts.Timeout})
 	}
+	return summaryVerdict(core.Summarize(it.Loop.Source, it.Loop.FuncName, opts))
+}
+
+// summaryVerdict turns a Summarize result into a sweep verdict: a decided
+// miss reads "notfound" and is no failure; the sweep labels every other
+// error ("budget" for a miss the budget stopped).
+func summaryVerdict(s *core.Summary, err error) (*core.Summary, string, error) {
+	if errors.Is(err, core.ErrNotFound) && !errors.Is(err, engine.ErrBudget) {
+		return nil, "notfound", nil
+	}
+	return s, "ok", err
 }
 
 // runResilient walks the degradation ladder and reports the best rung

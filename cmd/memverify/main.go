@@ -5,12 +5,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"time"
 
 	"stringloops/internal/cliflags"
+	"stringloops/internal/core"
 	"stringloops/internal/engine"
 	"stringloops/internal/loopdb"
 	"stringloops/internal/memoryless"
@@ -34,42 +36,35 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Verify on a worker pool (each loop builds its own solver pipeline),
+	// Verify through core.Sweep (each loop builds its own solver pipeline),
 	// then aggregate serially in corpus order so the output is stable.
 	loops := loopdb.Corpus()
-	reports := make([]memoryless.Report, len(loops))
-	lowerErrs := make([]error, len(loops))
-	engine.MapWorker(engine.Workers(*jobs, len(loops)), len(loops), func(worker, i int) {
-		l := loops[i]
-		item := sess.Item(l.Name, l.Program, worker)
-		f, err := l.Lower()
+	results := core.Sweep(loops, *jobs, sess, func(it *core.SweepItem) (memoryless.Report, string, error) {
+		f, err := it.Loop.Lower()
 		if err != nil {
-			lowerErrs[i] = err
-			item.Finish("lower-error")
-			return
+			return memoryless.Report{}, "", err
 		}
-		budget := engine.NewBudget(nil, engine.Limits{}).
-			SetObs(item.Tracer(), item.Metrics())
-		reports[i] = memoryless.VerifyWith(f, memoryless.VerifyOptions{
-			MaxLen: *maxLen, Budget: budget, Profile: profile.Profile(),
+		r := memoryless.VerifyWith(f, memoryless.VerifyOptions{
+			MaxLen: *maxLen, Budget: it.Budget(engine.Limits{}), Profile: profile.Profile(),
 			Disk: tier.QueryStore(), Memo: tier.MemoStore(),
 		})
-		outcome := "rejected"
-		if reports[i].Memoryless {
-			outcome = "memoryless"
+		if r.Memoryless {
+			return r, "memoryless", r.Err
 		}
-		item.Finish(outcome)
+		return r, "rejected", r.Err
 	})
 
 	verified, total := 0, 0
 	var elapsed time.Duration
 	perProg := map[string][2]int{}
 	for i, l := range loops {
-		if lowerErrs[i] != nil {
-			fmt.Fprintf(os.Stderr, "memverify: %v\n", lowerErrs[i])
+		r := results[i].Value
+		// A budget stop leaves the loop unverified; any other failure is
+		// the tool's.
+		if err := results[i].Err; err != nil && !errors.Is(err, engine.ErrBudget) {
+			fmt.Fprintf(os.Stderr, "memverify: %s: %v\n", l.Name, err)
 			os.Exit(1)
 		}
-		r := reports[i]
 		total++
 		elapsed += r.Elapsed
 		pp := perProg[l.Program]
@@ -81,7 +76,7 @@ func main() {
 				fmt.Printf("%-32s memoryless (%s spec, %v)\n", l.Name, r.Spec.Dir, r.Elapsed.Round(time.Millisecond))
 			}
 		} else if *verbose {
-			fmt.Printf("%-32s rejected: %s\n", l.Name, r.Reason)
+			fmt.Printf("%-32s %s: %s\n", l.Name, results[i].Outcome, r.Reason)
 		}
 		perProg[l.Program] = pp
 	}

@@ -99,7 +99,7 @@ func main() {
 			speedups = append(speedups, e.speedup)
 		}
 		if len(speedups) > 0 {
-			median := speedups[len(speedups)/2]
+			_, median := harness.AvgMedian(speedups)
 			fmt.Printf("median speedup: %.1fx (paper: 79x)\n", median)
 		}
 	}

@@ -169,22 +169,24 @@ func resilientSweep(timeout time.Duration, maxSize, maxSet, jobs int, profile en
 	corpus := loopdb.Corpus()
 	fmt.Printf("resilient sweep over %d loops (timeout %v, %d workers)...\n", len(corpus), timeout, jobs)
 	start := time.Now()
-	outcomes := make([]core.Outcome, len(corpus))
-	engine.MapWorker(engine.Workers(jobs, len(corpus)), len(corpus), func(worker, i int) {
-		l := corpus[i]
-		item := sess.Item(l.Name, l.Program, worker)
-		outcomes[i] = core.SummarizeResilient(l.Source, l.FuncName, core.ResilientOptions{
-			Options: core.Options{Timeout: timeout, MaxProgramSize: maxSize, MaxSetSize: maxSet, Profile: profile, Cache: tier},
-			Tracer:  item.Tracer(),
-			Metrics: item.Metrics(),
+	results := core.Sweep(corpus, jobs, sess, func(it *core.SweepItem) (core.Outcome, string, error) {
+		out := core.SummarizeResilient(it.Loop.Source, it.Loop.FuncName, core.ResilientOptions{
+			Options:  core.Options{Timeout: timeout, MaxProgramSize: maxSize, MaxSetSize: maxSet, Profile: profile, Cache: tier},
+			Tracer:   it.Tracer,
+			Metrics:  it.Metrics,
+			OnBudget: it.Track,
 		})
-		item.Finish(outcomes[i].Rung.String())
+		return out, out.Rung.String(), nil
 	})
 	fmt.Printf("sweep finished in %v\n\n", time.Since(start).Round(time.Second))
 
 	rungCount := map[core.Rung]int{}
 	failed := 0
-	for i, out := range outcomes {
+	for i, r := range results {
+		out := r.Value
+		if r.Err != nil {
+			out = core.Outcome{Rung: core.RungFailed, Err: r.Err}
+		}
 		rungCount[out.Rung]++
 		line := fmt.Sprintf("%-28s %-10s attempts=%d", corpus[i].Name, out.Rung, len(out.Attempts))
 		if out.Rung != core.RungFull && out.Err != nil {

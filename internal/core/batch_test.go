@@ -3,17 +3,50 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io"
+	"strings"
 	"testing"
 	"time"
 
 	"stringloops/internal/engine"
+	"stringloops/internal/loopdb"
+	"stringloops/internal/obs"
 )
 
-// batchItems builds a small corpus of quick loops (plus one malformed item
-// so error outcomes are exercised too). Each item gets its own
-// Timeout-derived budget.
-func batchItems() []BatchItem {
-	srcs := []string{
+// sourceLoops wraps C sources as sweep loops; an empty FuncName picks the
+// first char *f(char *) function, as in Summarize.
+func sourceLoops(srcs ...string) []loopdb.Loop {
+	loops := make([]loopdb.Loop, len(srcs))
+	for i, src := range srcs {
+		loops[i] = loopdb.Loop{Name: fmt.Sprintf("item%d", i), Source: src}
+	}
+	return loops
+}
+
+// batchResult is one Summarize run of summarizeSweep: Index is the position
+// the item ran as, so tests can check results land in input order.
+type batchResult struct {
+	Index   int
+	Summary *Summary
+}
+
+// summarizeSweep sweeps Summarize over loops on the given worker count,
+// item i under opts(i).
+func summarizeSweep(loops []loopdb.Loop, workers int, opts func(i int) Options) []SweepResult[batchResult] {
+	return Sweep(loops, workers, nil, func(it *SweepItem) (batchResult, string, error) {
+		s, err := Summarize(it.Loop.Source, it.Loop.FuncName, opts(it.Index))
+		return batchResult{Index: it.Index, Summary: s}, "ok", err
+	})
+}
+
+// minuteBudget gives each item its own Timeout-derived budget.
+func minuteBudget(int) Options { return Options{Timeout: time.Minute} }
+
+// batchItems is a small corpus of quick loops (plus one malformed item so
+// error outcomes are exercised too).
+func batchItems() []loopdb.Loop {
+	return sourceLoops(
 		figure1,
 		`char *f(char *s) { while (*s == ' ') s++; return s; }`,
 		`char *f(char *s) { while (*s == 'a') s++; return s; }`,
@@ -23,12 +56,7 @@ func batchItems() []BatchItem {
 		`char *f(char *s) { while (*s == 'z') s++; return s; }`,
 		`char *f(char *s) { while (*s == '_') s++; return s; }`,
 		`int notaloop(int x) { return x; }`, // errors with ErrNoLoopFunction
-	}
-	items := make([]BatchItem, len(srcs))
-	for i, src := range srcs {
-		items[i] = BatchItem{Source: src, Opts: Options{Timeout: time.Minute}}
-	}
-	return items
+	)
 }
 
 // TestSummarizeAllParallelMatchesSerial is the determinism check (and, under
@@ -38,41 +66,41 @@ func batchItems() []BatchItem {
 // budget.
 func TestSummarizeAllParallelMatchesSerial(t *testing.T) {
 	items := batchItems()
-	serial := SummarizeAll(items, 1)
-	parallel := SummarizeAll(items, 8)
+	serial := summarizeSweep(items, 1, minuteBudget)
+	parallel := summarizeSweep(items, 8, minuteBudget)
 	if len(serial) != len(items) || len(parallel) != len(items) {
 		t.Fatalf("result lengths: serial %d, parallel %d, want %d",
 			len(serial), len(parallel), len(items))
 	}
 	for i := range items {
 		s, p := serial[i], parallel[i]
-		if s.Index != i || p.Index != i {
-			t.Errorf("item %d: indices %d/%d out of order", i, s.Index, p.Index)
+		if s.Value.Index != i || p.Value.Index != i {
+			t.Errorf("item %d: indices %d/%d out of order", i, s.Value.Index, p.Value.Index)
 		}
 		switch {
 		case s.Err != nil || p.Err != nil:
 			if s.Err == nil || p.Err == nil || s.Err.Error() != p.Err.Error() {
 				t.Errorf("item %d: errors differ: serial %v, parallel %v", i, s.Err, p.Err)
 			}
-		case s.Summary.Encoded != p.Summary.Encoded:
+		case s.Value.Summary.Encoded != p.Value.Summary.Encoded:
 			t.Errorf("item %d: programs differ: serial %q, parallel %q",
-				i, s.Summary.Encoded, p.Summary.Encoded)
-		case s.Summary.Memoryless != p.Summary.Memoryless ||
-			s.Summary.Direction != p.Summary.Direction:
+				i, s.Value.Summary.Encoded, p.Value.Summary.Encoded)
+		case s.Value.Summary.Memoryless != p.Value.Summary.Memoryless ||
+			s.Value.Summary.Direction != p.Value.Summary.Direction:
 			t.Errorf("item %d: memoryless reports differ: serial %v/%s, parallel %v/%s",
-				i, s.Summary.Memoryless, s.Summary.Direction,
-				p.Summary.Memoryless, p.Summary.Direction)
+				i, s.Value.Summary.Memoryless, s.Value.Summary.Direction,
+				p.Value.Summary.Memoryless, p.Value.Summary.Direction)
 		}
 	}
 }
 
 func TestSummarizeAllDefaultWorkerCount(t *testing.T) {
 	items := batchItems()[:2]
-	res := SummarizeAll(items, 0) // < 1 means one worker per CPU
+	res := summarizeSweep(items, 0, minuteBudget) // < 1 means one worker per CPU
 	if len(res) != 2 {
 		t.Fatalf("got %d results, want 2", len(res))
 	}
-	if res[0].Err != nil || res[0].Summary == nil {
+	if res[0].Err != nil || res[0].Value.Summary == nil {
 		t.Fatalf("item 0: err=%v", res[0].Err)
 	}
 }
@@ -100,11 +128,10 @@ func TestSummarizeAllSharedBudgetCancelsWholeBatch(t *testing.T) {
 	cancel()
 	shared := engine.NewBudget(ctx, engine.Limits{})
 	items := batchItems()
-	for i := range items {
-		items[i].Opts.Budget = shared
-	}
 	start := time.Now()
-	res := SummarizeAll(items, 4)
+	res := summarizeSweep(items, 4, func(int) Options {
+		return Options{Timeout: time.Minute, Budget: shared}
+	})
 	for i, r := range res {
 		if r.Err == nil {
 			t.Errorf("item %d: expected an error under a cancelled shared budget", i)
@@ -112,5 +139,39 @@ func TestSummarizeAllSharedBudgetCancelsWholeBatch(t *testing.T) {
 	}
 	if d := time.Since(start); d > 5*time.Second {
 		t.Fatalf("cancelled batch took %v to return", d)
+	}
+}
+
+// TestSweepReconcile: with a report, Sweep checks each loop's counters
+// against the spend of the budgets it made or tracked. Session.Finish
+// prints the verdict when every loop held, and a budget charged outside
+// the item's registry fails the run, naming the loop and the counter.
+func TestSweepReconcile(t *testing.T) {
+	loops := batchItems()[:2]
+	for _, leak := range []bool{false, true} {
+		sess, err := (&obs.Flags{Report: true}).Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		Sweep(loops, 2, sess, func(it *SweepItem) (*Summary, string, error) {
+			s, err := Summarize(it.Loop.Source, "", Options{Budget: it.Budget(engine.Limits{Timeout: time.Minute})})
+			if leak && it.Index == 1 {
+				b := engine.NewBudget(nil, engine.Limits{}) // no SetObs
+				it.Track(b)
+				b.Add(engine.Conflicts, 3)
+			}
+			return s, "ok", err
+		})
+		var stdout strings.Builder
+		err = sess.Finish(&stdout, io.Discard)
+		if !leak {
+			if err != nil || !strings.Contains(stdout.String(), "reconcile: report totals match budget spend") {
+				t.Errorf("clean sweep: err %v, stdout %q", err, stdout.String())
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "item1: "+obs.MSatConflicts) || strings.Contains(err.Error(), "item0") {
+			t.Errorf("leaked budget: err = %v, want drift on item1 %s", err, obs.MSatConflicts)
+		}
 	}
 }

@@ -73,11 +73,11 @@ func faultpointItemSalt(item int) uint64 {
 // directories keep cache state a pure function of the item's own schedule
 // (faultpoint streams are per-site counters, so arming the tier shifts no
 // other site's draws), preserving replay determinism across worker counts.
-func chaosItems(t *testing.T, seed uint64, loops []loopdb.Loop, cacheDir string) ([]ResilientItem, func()) {
+func chaosItems(t *testing.T, seed uint64, loops []loopdb.Loop, cacheDir string) ([]ResilientOptions, func()) {
 	t.Helper()
-	items := make([]ResilientItem, len(loops))
+	items := make([]ResilientOptions, len(loops))
 	var tiers []*diskcache.Tier
-	for i, l := range loops {
+	for i := range loops {
 		// Odd seeds run the state-merging executor, even seeds the
 		// enumerating one: both schedules must satisfy the same replay
 		// and typed-outcome contracts, with merging exercised under the
@@ -91,7 +91,7 @@ func chaosItems(t *testing.T, seed uint64, loops []loopdb.Loop, cacheDir string)
 			opts.Cache = tier
 			tiers = append(tiers, tier)
 		}
-		items[i] = ResilientItem{Source: l.Source, Func: l.FuncName, Opts: ResilientOptions{
+		items[i] = ResilientOptions{
 			Options: opts,
 			// Pure resource limits: no wall clock anywhere, so a schedule's
 			// outcome is a function of the seed alone, not machine speed.
@@ -99,7 +99,7 @@ func chaosItems(t *testing.T, seed uint64, loops []loopdb.Loop, cacheDir string)
 			MaxLimits:   engine.Limits{Conflicts: 20000, Forks: 80000, Nodes: 2000000},
 			MaxAttempts: 2,
 			Seed:        seed,
-		}}
+		}
 	}
 	return items, func() {
 		for _, tier := range tiers {
@@ -112,12 +112,12 @@ func chaosItems(t *testing.T, seed uint64, loops []loopdb.Loop, cacheDir string)
 	}
 }
 
-// TestChaosSoak drives the resilient batch path over one loop per corpus
-// program under seeded fault storms: every item must come back as a typed
-// outcome (no escaped panic — an escape would crash the test binary — and
-// no RungFailed, because the smoke floor needs nothing the faults can
-// break), and the same seed must reproduce bit-identical outcomes
-// regardless of worker count.
+// TestChaosSoak drives the resilient ladder through Sweep over one loop per
+// corpus program under seeded fault storms: every item must come back as a
+// typed outcome (no escaped panic — Sweep would label it "panic" — and no
+// RungFailed, because the smoke floor needs nothing the faults can break),
+// and the same seed must reproduce bit-identical outcomes regardless of
+// worker count.
 func TestChaosSoak(t *testing.T) {
 	loops := chaosLoops()
 	if len(loops) < 10 {
@@ -136,12 +136,12 @@ func TestChaosSoak(t *testing.T) {
 		// parallel and serial runs see identical tier state end to end.
 		pItems, pClose := chaosItems(t, seed, loops, t.TempDir())
 		qItems, qClose := chaosItems(t, seed, loops, t.TempDir())
-		parallel := SummarizeAllResilient(pItems, 4)
-		serial := SummarizeAllResilient(qItems, 1)
+		parallel := resilientValues(t, resilientSweep(loops, pItems, 4))
+		serial := resilientValues(t, resilientSweep(loops, qItems, 1))
 		pClose()
 		qClose()
 		for i := range pItems {
-			diskFired += pItems[i].Opts.Faults.Fired(faultpoint.DiskCacheIO)
+			diskFired += pItems[i].Faults.Fired(faultpoint.DiskCacheIO)
 		}
 		for i := range parallel {
 			schedules++
@@ -228,12 +228,12 @@ func TestChaosSoak(t *testing.T) {
 
 // chaosTracedItems is chaosItems with a fresh deterministic tracer per item,
 // so each item's event stream is a pure function of its fault schedule.
-func chaosTracedItems(t *testing.T, seed uint64, loops []loopdb.Loop) ([]ResilientItem, []*obs.Tracer, func()) {
+func chaosTracedItems(t *testing.T, seed uint64, loops []loopdb.Loop) ([]ResilientOptions, []*obs.Tracer, func()) {
 	items, closeTiers := chaosItems(t, seed, loops, t.TempDir())
 	tracers := make([]*obs.Tracer, len(items))
 	for i := range items {
 		tracers[i] = obs.NewDeterministic()
-		items[i].Opts.Tracer = tracers[i]
+		items[i].Tracer = tracers[i]
 	}
 	return items, tracers, closeTiers
 }
@@ -252,8 +252,8 @@ func TestChaosTraceReplay(t *testing.T) {
 		seed := uint64(s)*0x9e3779b9 + 1
 		pItems, pTracers, pClose := chaosTracedItems(t, seed, loops)
 		qItems, qTracers, qClose := chaosTracedItems(t, seed, loops)
-		SummarizeAllResilient(pItems, 4)
-		SummarizeAllResilient(qItems, 1)
+		resilientValues(t, resilientSweep(loops, pItems, 4))
+		resilientValues(t, resilientSweep(loops, qItems, 1))
 		pClose()
 		qClose()
 		for i := range loops {

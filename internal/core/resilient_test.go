@@ -8,6 +8,7 @@ import (
 
 	"stringloops/internal/engine"
 	"stringloops/internal/faultpoint"
+	"stringloops/internal/loopdb"
 	"stringloops/internal/supervise"
 )
 
@@ -24,19 +25,21 @@ func panicAlways(seed uint64) *faultpoint.Registry {
 // exposure: one deliberately panicking item must not take down the batch,
 // and its result must carry a typed *supervise.PanicError.
 func TestSummarizeAllIsolatesPanics(t *testing.T) {
-	items := []BatchItem{
-		{Source: `char *f(char *s) { while (*s == ' ') s++; return s; }`,
-			Opts: Options{Timeout: time.Minute}},
-		{Source: figure1,
-			Opts: Options{Timeout: time.Minute, Faults: panicAlways(7)}},
-		{Source: `char *f(char *s) { while (*s == 'x') s++; return s; }`,
-			Opts: Options{Timeout: time.Minute}},
-	}
-	res := SummarizeAll(items, 2)
-	if res[0].Err != nil || res[0].Summary == nil {
+	items := sourceLoops(
+		`char *f(char *s) { while (*s == ' ') s++; return s; }`,
+		figure1,
+		`char *f(char *s) { while (*s == 'x') s++; return s; }`,
+	)
+	res := summarizeSweep(items, 2, func(i int) Options {
+		if i == 1 {
+			return Options{Timeout: time.Minute, Faults: panicAlways(7)}
+		}
+		return Options{Timeout: time.Minute}
+	})
+	if res[0].Err != nil || res[0].Value.Summary == nil {
 		t.Errorf("item 0 (healthy): err = %v", res[0].Err)
 	}
-	if res[2].Err != nil || res[2].Summary == nil {
+	if res[2].Err != nil || res[2].Value.Summary == nil {
 		t.Errorf("item 2 (healthy): err = %v", res[2].Err)
 	}
 	var pe *supervise.PanicError
@@ -55,7 +58,7 @@ func TestSummarizeAllIsolatesPanics(t *testing.T) {
 	if len(pe.Stack) == 0 {
 		t.Error("panic stack not captured")
 	}
-	if res[1].Summary != nil {
+	if res[1].Value.Summary != nil {
 		t.Error("panicked item leaked a summary")
 	}
 }
@@ -162,20 +165,43 @@ func TestSummarizeResilientFailedOnBadSource(t *testing.T) {
 	}
 }
 
+// resilientSweep runs the ladder over loops through Sweep, item i under
+// opts[i].
+func resilientSweep(loops []loopdb.Loop, opts []ResilientOptions, workers int) []SweepResult[Outcome] {
+	return Sweep(loops, workers, nil, func(it *SweepItem) (Outcome, string, error) {
+		out := SummarizeResilient(it.Loop.Source, it.Loop.FuncName, opts[it.Index])
+		return out, out.Rung.String(), nil
+	})
+}
+
+// resilientValues unwraps a resilientSweep. The ladder guards its own
+// rungs, so a row the sweep labels "panic" is a panic that escaped it.
+func resilientValues(t *testing.T, res []SweepResult[Outcome]) []Outcome {
+	t.Helper()
+	outs := make([]Outcome, len(res))
+	for i, r := range res {
+		if r.Outcome == "panic" {
+			t.Errorf("item %d: panic escaped the ladder: %v", i, r.Err)
+		}
+		outs[i] = r.Value
+	}
+	return outs
+}
+
 // TestSummarizeResilientDeterministicUnderSeed: the same fault seed must
 // reproduce the same outcome, rung, and attempt shape, serially and in a
 // batch at any worker count.
 func TestSummarizeResilientDeterministicUnderSeed(t *testing.T) {
-	mkItems := func() []ResilientItem {
-		srcs := []string{
-			figure1,
-			`char *f(char *s) { while (*s == ' ') s++; return s; }`,
-			`char *f(char *s) { while (*s && *s != ':') s++; return s; }`,
-			`char *f(char *s) { while (*s == 'a' || *s == 'b') s++; return s; }`,
-		}
-		items := make([]ResilientItem, len(srcs))
-		for i, src := range srcs {
-			items[i] = ResilientItem{Source: src, Opts: ResilientOptions{
+	loops := sourceLoops(
+		figure1,
+		`char *f(char *s) { while (*s == ' ') s++; return s; }`,
+		`char *f(char *s) { while (*s && *s != ':') s++; return s; }`,
+		`char *f(char *s) { while (*s == 'a' || *s == 'b') s++; return s; }`,
+	)
+	mkItems := func() []ResilientOptions {
+		items := make([]ResilientOptions, len(loops))
+		for i := range loops {
+			items[i] = ResilientOptions{
 				Options: Options{
 					Timeout: time.Minute,
 					Faults: faultpoint.New(faultpoint.Config{
@@ -190,12 +216,12 @@ func TestSummarizeResilientDeterministicUnderSeed(t *testing.T) {
 				},
 				Limits:      engine.Limits{Conflicts: 20000, Nodes: 2000000},
 				MaxAttempts: 2,
-			}}
+			}
 		}
 		return items
 	}
-	a := SummarizeAllResilient(mkItems(), 1)
-	b := SummarizeAllResilient(mkItems(), 4)
+	a := resilientValues(t, resilientSweep(loops, mkItems(), 1))
+	b := resilientValues(t, resilientSweep(loops, mkItems(), 4))
 	for i := range a {
 		if a[i].Rung != b[i].Rung {
 			t.Errorf("item %d: rung %v (serial) vs %v (parallel)", i, a[i].Rung, b[i].Rung)

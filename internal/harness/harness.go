@@ -9,10 +9,10 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"stringloops/internal/cegis"
+	"stringloops/internal/core"
 	"stringloops/internal/engine"
 	"stringloops/internal/loopdb"
 	"stringloops/internal/obs"
@@ -29,60 +29,42 @@ type SynthRecord struct {
 	Err     error
 }
 
-// SynthesizeCorpus runs the synthesiser over the given loops on a bounded
-// pool of workers (workers < 1 means one per CPU). Every loop runs its own
-// synthesis pipeline (interner, solver, budget), so the per-loop records are
-// independent of the worker count and come back in corpus order; only the
-// interleaving of progress lines (written when progress is non-nil) varies.
-// A non-nil sess gives each loop its own item scope (child tracer on the
-// worker's trace lane, fresh per-item metrics registry) whose budget carries
-// the handles through the pipeline, and its report row lands in sess.Report;
-// a nil (or disabled) session records nothing.
+// SynthesizeCorpus runs the synthesiser over the given loops through
+// core.Sweep (workers < 1 means one per CPU). The records are independent
+// of the worker count and come back in corpus order; only the interleaving
+// of progress lines (written when progress is non-nil) varies. With an
+// enabled sess each loop's report row lands in sess.Report.
 func SynthesizeCorpus(loops []loopdb.Loop, opts cegis.Options, progress io.Writer, workers int, sess *obs.Session) []SynthRecord {
-	records := make([]SynthRecord, len(loops))
 	var progressMu sync.Mutex
-	engine.MapWorker(engine.Workers(workers, len(loops)), len(loops), func(worker, i int) {
-		l := loops[i]
-		item := sess.Item(l.Name, l.Program, worker)
-		o := opts
-		if item != nil && o.Budget == nil {
-			o.Budget = engine.NewBudget(nil, engine.Limits{Timeout: o.Timeout}).
-				SetObs(item.Tracer(), item.Metrics())
-		}
-		rec := SynthRecord{Loop: l}
-		f, err := l.Lower()
+	results := core.Sweep(loops, workers, sess, func(it *core.SweepItem) (SynthRecord, string, error) {
+		var rec SynthRecord
+		f, err := it.Loop.Lower()
 		if err != nil {
-			rec.Err = err
-			records[i] = rec
-			item.Finish("lower-error")
-			return
+			return rec, "", err
+		}
+		o := opts
+		if o.Budget == nil {
+			o.Budget = it.Budget(engine.Limits{Timeout: o.Timeout})
 		}
 		out, err := cegis.Synthesize(f, o)
-		rec.Err = err
-		rec.Found = out.Found
-		rec.Program = out.Program
-		rec.Elapsed = out.Elapsed
-		if out.Found {
-			rec.Size = out.Program.EncodedSize()
-		}
-		records[i] = rec
-		outcome := "miss"
+		rec.Found, rec.Program, rec.Elapsed = out.Found, out.Program, out.Elapsed
+		verdict, status := "miss", "miss"
 		if rec.Found {
-			outcome = "found"
-		} else if err != nil {
-			outcome = "error"
+			rec.Size = out.Program.EncodedSize()
+			verdict, status = "found", fmt.Sprintf("found %q (size %d)", rec.Program.Encode(), rec.Size)
 		}
-		item.Finish(outcome)
 		if progress != nil {
-			status := "miss"
-			if rec.Found {
-				status = fmt.Sprintf("found %q (size %d)", rec.Program.Encode(), rec.Size)
-			}
 			progressMu.Lock()
-			fmt.Fprintf(progress, "%-32s %-34s %8.2fs\n", l.Name, status, rec.Elapsed.Seconds())
+			fmt.Fprintf(progress, "%-32s %-34s %8.2fs\n", it.Loop.Name, status, rec.Elapsed.Seconds())
 			progressMu.Unlock()
 		}
+		return rec, verdict, err
 	})
+	records := make([]SynthRecord, len(loops))
+	for i, r := range results {
+		records[i] = r.Value
+		records[i].Loop, records[i].Err = loops[i], r.Err
+	}
 	return records
 }
 
@@ -114,18 +96,20 @@ func Table3(records []SynthRecord) []Table3Row {
 				times = append(times, r.Elapsed.Seconds())
 			}
 		}
-		row.AvgSec, row.MedianSec = avgMedian(times)
+		row.AvgSec, row.MedianSec = AvgMedian(times)
 		allTimes = append(allTimes, times...)
 		totalSynth += row.Synthesised
 		totalLoops += row.Total
 		rows = append(rows, row)
 	}
 	total := Table3Row{Program: "Total", Synthesised: totalSynth, Total: totalLoops}
-	total.AvgSec, total.MedianSec = avgMedian(allTimes)
+	total.AvgSec, total.MedianSec = AvgMedian(allTimes)
 	return append(rows, total)
 }
 
-func avgMedian(xs []float64) (avg, median float64) {
+// AvgMedian returns the mean and the median of xs (the mean of the two
+// middle values for an even count; 0, 0 for none).
+func AvgMedian(xs []float64) (avg, median float64) {
 	if len(xs) == 0 {
 		return 0, 0
 	}
@@ -168,21 +152,16 @@ func Figure2(records []SynthRecord, maxSize int, timeouts []time.Duration) map[t
 // CountSynthesized is the success function s(v) of §4.2.3: the number of
 // corpus loops synthesised under the given options. It is the objective the
 // Gaussian-process optimiser maximises over vocabularies. The count is a sum
-// over independent per-loop runs on a bounded pool of workers, so it does not
+// over the independent per-loop runs of SynthesizeCorpus, so it does not
 // depend on the worker count; workers < 1 means one per CPU.
 func CountSynthesized(loops []loopdb.Loop, opts cegis.Options, workers int) int {
-	var n atomic.Int64
-	engine.Map(engine.Workers(workers, len(loops)), len(loops), func(i int) {
-		f, err := loops[i].Lower()
-		if err != nil {
-			return
+	n := 0
+	for _, r := range SynthesizeCorpus(loops, opts, nil, workers, nil) {
+		if r.Found && r.Err == nil {
+			n++
 		}
-		out, err := cegis.Synthesize(f, opts)
-		if err == nil && out.Found {
-			n.Add(1)
-		}
-	})
-	return int(n.Load())
+	}
+	return n
 }
 
 // VocabularyFromBits converts a GP point to a Vocabulary (Table 1 bit

@@ -1,12 +1,16 @@
 package harness
 
 import (
+	"errors"
+	"io"
 	"strings"
 	"testing"
 	"time"
 
 	"stringloops/internal/cegis"
+	"stringloops/internal/engine"
 	"stringloops/internal/loopdb"
+	"stringloops/internal/obs"
 	"stringloops/internal/vocab"
 )
 
@@ -47,6 +51,35 @@ func TestSynthesizeCorpusRecords(t *testing.T) {
 	}
 	if !strings.Contains(progress.String(), "found") {
 		t.Error("progress output missing")
+	}
+}
+
+// TestSynthesizeCorpusBudgetStop: a synthesis the budget stops reads
+// "budget" in the run report, not "error", and a found loop reads "found"
+// with its counters reconciled against its budget spend.
+func TestSynthesizeCorpusBudgetStop(t *testing.T) {
+	loops := smallCorpus(t, "bash/skip_spaces")
+	for _, c := range []struct {
+		opts cegis.Options
+		want string
+	}{
+		{cegis.Options{Budget: engine.NewBudget(nil, engine.Limits{Nodes: 1})}, "budget"},
+		{cegis.Options{Timeout: 5 * time.Second}, "found"},
+	} {
+		sess, err := (&obs.Flags{Report: true}).Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		records := SynthesizeCorpus(loops, c.opts, nil, 1, sess)
+		if rows := sess.Report.Rows(); len(rows) != 1 || rows[0].Outcome != c.want {
+			t.Errorf("report rows %+v (err %v), want one %q row", rows, records[0].Err, c.want)
+		}
+		if c.want == "budget" && !errors.Is(records[0].Err, engine.ErrBudget) {
+			t.Errorf("budget-stopped record err = %v, want engine.ErrBudget", records[0].Err)
+		}
+		if err := sess.Finish(io.Discard, io.Discard); err != nil {
+			t.Errorf("%s: %v", c.want, err)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -9,6 +10,8 @@ import (
 	"net/http"
 	_ "net/http/pprof" // registers the pprof handlers on DefaultServeMux
 	"os"
+	"sort"
+	"sync"
 	"time"
 )
 
@@ -66,6 +69,10 @@ type Session struct {
 
 	epoch   time.Time
 	pprofLn net.Listener
+
+	mu    sync.Mutex
+	items []Snapshot // finished items' registries, folded into -metrics
+	drift []error    // the items' failed spend reconciles
 }
 
 // Start builds a session from the parsed flags, starting the pprof listener
@@ -106,7 +113,6 @@ type Item struct {
 	sess    *Session
 	loop    string
 	program string
-	worker  int
 	tracer  *Tracer
 	metrics *Metrics
 	start   time.Time
@@ -118,7 +124,7 @@ func (s *Session) Item(loop, program string, worker int) *Item {
 		return nil
 	}
 	return &Item{
-		sess: s, loop: loop, program: program, worker: worker,
+		sess: s, loop: loop, program: program,
 		tracer:  s.Tracer.Child(worker),
 		metrics: NewMetrics(),
 		start:   time.Now(),
@@ -141,20 +147,30 @@ func (it *Item) Metrics() *Metrics {
 	return it.metrics
 }
 
-// Finish closes the item scope: builds its report row from the item trace
-// and metric snapshot and appends it to the session report.
-func (it *Item) Finish(outcome string) {
+// Finish closes the item scope: its report row joins the session report
+// and its metric snapshot the session's -metrics dump. drift is the item's
+// failed spend reconcile, which Session.Finish reports (nil: it held).
+func (it *Item) Finish(outcome string, drift error) {
 	if it == nil {
 		return
 	}
-	row := BuildLoopRow(it.loop, it.program, outcome, it.tracer, it.metrics.Snapshot(), time.Since(it.start))
-	it.sess.Report.Add(row)
+	snap := it.metrics.Snapshot()
+	s := it.sess
+	s.Report.Add(BuildLoopRow(it.loop, it.program, outcome, it.tracer, snap, time.Since(it.start)))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.items = append(s.items, snap)
+	if drift != nil {
+		s.drift = append(s.drift, fmt.Errorf("%s: %w", it.loop, drift))
+	}
 }
 
 // Finish writes every requested output: the Chrome trace file, the flame
-// summary, the metrics dump, the report table and JSON; then stops pprof.
-// Disabled outputs are skipped. stdout/stderr default to the process
-// streams when nil.
+// summary, the metrics dump (session registry plus every finished item's),
+// the report table and JSON; then stops pprof. Disabled outputs are
+// skipped. A session with items ends with their reconcile verdict: a
+// "reconcile:" line on stdout, or an error naming each drifted loop.
+// stdout/stderr default to the process streams when nil.
 func (s *Session) Finish(stdout, stderr io.Writer) error {
 	if s == nil {
 		return nil
@@ -201,7 +217,19 @@ func (s *Session) Finish(stdout, stderr io.Writer) error {
 		s.Tracer.FlameSummary(stderr)
 	}
 	if f.Metrics {
-		s.Metrics.Dump(stderr)
+		snap := s.Metrics.Snapshot()
+		for _, it := range s.items {
+			snap.Merge(it)
+		}
+		snap.Dump(stderr)
 	}
+	if len(s.items) == 0 {
+		return nil
+	}
+	if len(s.drift) > 0 {
+		sort.Slice(s.drift, func(i, j int) bool { return s.drift[i].Error() < s.drift[j].Error() })
+		return fmt.Errorf("reconcile: %w", errors.Join(s.drift...))
+	}
+	fmt.Fprintln(stdout, "reconcile: report totals match budget spend")
 	return nil
 }

@@ -21,9 +21,10 @@ type PhaseStat struct {
 type LoopRow struct {
 	Loop    string `json:"loop"`
 	Program string `json:"program,omitempty"`
-	// Outcome classifies the run ("ok", "budget" for a miss the budget
-	// stopped, "notfound" for a decided miss, a ladder rung, an error
-	// class).
+	// Outcome classifies the run: the driver's verdict ("ok"/"notfound",
+	// "found"/"miss", "memoryless"/"rejected", a ladder rung) or, for a
+	// run that failed, "budget" (the budget stopped it), "panic" or
+	// "error".
 	Outcome string `json:"outcome"`
 	// Phases maps phase name (span name with the "phase/" prefix
 	// stripped) to its aggregated time.

@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -115,5 +116,24 @@ func TestNilReportAndItems(t *testing.T) {
 	if it.Tracer() != nil || it.Metrics() != nil {
 		t.Error("nil item handed out handles")
 	}
-	it.Finish("ok")
+	it.Finish("ok", nil)
+}
+
+// TestItemMetricsReachSessionDump: -metrics dumps what the corpus items
+// counted, not only the session registry, which sweeps never charge.
+func TestItemMetricsReachSessionDump(t *testing.T) {
+	s, err := (&Flags{Metrics: true}).Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := s.Item("loop", "prog", 0)
+	it.Metrics().Counter(MSatConflicts).Add(7)
+	it.Finish("ok", nil)
+	var stderr strings.Builder
+	if err := s.Finish(io.Discard, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(stderr.String(), MSatConflicts) || !strings.Contains(stderr.String(), " 7\n") {
+		t.Errorf("metrics dump misses the item counter:\n%s", stderr.String())
+	}
 }
